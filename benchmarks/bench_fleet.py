@@ -21,10 +21,11 @@ the RSS ceiling from the emitted payload.
 
 The ``--fast`` mode times the compute fast path: the same
 heterogeneous fleet is run once through the exact compute resolver
-(byte-identical to inline simulation) and once through the batched
-analytic tier, with every process-level memo cleared before each leg
-so both pay their true cold cost.  The regression gate holds the
-analytic/exact speedup to a hard >= 5x floor.
+(the default; byte-identical to the pre-resolver artifacts) and once
+through the batched analytic tier, with every process-level memo
+cleared before each leg so both pay their true cold cost.  The
+regression gate holds the analytic/exact speedup to a hard >= 5x
+floor.
 
 Run with::
 

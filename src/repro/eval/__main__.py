@@ -505,7 +505,7 @@ def _dispatch(
                 workers=args.workers, wave_size=wave,
                 checkpoint_dir=args.checkpoint_dir,
                 max_waves=args.max_waves,
-                compute=getattr(args, "compute", None),
+                compute=getattr(args, "compute", "exact"),
                 compute_cache=getattr(args, "compute_cache", None))
             if args.json is not None and result.completed:
                 write_hierarchy_json(result, args.json)
@@ -523,7 +523,7 @@ def _dispatch(
             suite_count=getattr(args, "suite_count", None),
             families=tuple(net_families) if net_families else None,
             policy=getattr(args, "policy", None),
-            compute=getattr(args, "compute", None),
+            compute=getattr(args, "compute", "exact"),
             compute_cache=getattr(args, "compute_cache", None))
         if getattr(args, "json", None) is not None:
             write_net_json(report, args.json)

@@ -99,7 +99,7 @@ def run_net(scenario: str = "drifting-wearables",
             suite_count: int | None = None,
             families: tuple[str, ...] | None = None,
             policy: str | None = None,
-            compute: str | None = None,
+            compute: str = "exact",
             compute_cache: str | None = None) -> NetReport:
     """Run one scenario and report synced vs. free-running error.
 
@@ -119,8 +119,7 @@ def run_net(scenario: str = "drifting-wearables",
         policy: mapping policy placing every generated app
             (default ``balanced``).
         compute: app-compute resolution mode (``"exact"`` /
-            ``"analytic"``; None = legacy inline simulation — the
-            exact resolver is byte-identical to it).
+            ``"analytic"``).
         compute_cache: on-disk compute-cache root (optional).
     """
     heterogeneous = any(value is not None for value in
@@ -215,8 +214,9 @@ def net_payload(report: NetReport) -> dict:
                                for group in summary.policies]
     compute = report.result.compute
     if compute is not None and compute.mode == "analytic":
-        # Exact-mode artifacts stay byte-identical to the legacy
-        # inline path; only analytic runs disclose their screening.
+        # Exact-mode artifacts stay byte-identical to the goldens
+        # captured before the resolver; only analytic runs disclose
+        # their screening.
         payload["compute_summary"] = compute.to_mapping()
     return payload
 

@@ -25,6 +25,10 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .scenarios import Scenario
 
 #: Conversion factor for drift expressed in parts-per-million.
 PPM = 1e-6
@@ -101,3 +105,32 @@ class LocalClock:
         if self.spec.jitter_s > 0.0:
             noisy += self._rng.gauss(0.0, self.spec.jitter_s)
         return noisy
+
+
+def draw_clock(
+    rng: random.Random,
+    scenario: "Scenario",
+    clock_rng: random.Random,
+    horizon_s: float,
+    power_loss_rate_hz: float,
+    drift_scale: float = 1.0,
+) -> LocalClock:
+    """Draw one node's oscillator and build its clock.
+
+    Draws, in order, from ``rng``: the drift magnitude (from the
+    scenario's ``drift_ppm_range``, times ``drift_scale``), its sign
+    and the initial offset.  ``clock_rng`` feeds the clock's own
+    reset and jitter draws.
+    """
+    magnitude = rng.uniform(*scenario.drift_ppm_range) * drift_scale
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    offset = rng.uniform(
+        -scenario.initial_offset_s, scenario.initial_offset_s
+    )
+    spec = ClockSpec(
+        drift_ppm=sign * magnitude,
+        jitter_s=scenario.jitter_s,
+        initial_offset_s=offset,
+        power_loss_rate_hz=power_loss_rate_hz,
+    )
+    return LocalClock(spec, clock_rng, horizon_s=horizon_s)

@@ -145,19 +145,17 @@ class ComputeSettings:
 
 
 def compute_settings(
-    compute: "str | ComputeSettings | None",
+    compute: "str | ComputeSettings",
     cache_dir: str | None = None,
-) -> ComputeSettings | None:
+) -> ComputeSettings:
     """Normalise a user-facing ``compute=`` argument.
 
-    Accepts None (legacy inline simulation), a mode string or a
-    ready-made :class:`ComputeSettings`.
+    Accepts a mode string or a ready-made :class:`ComputeSettings`;
+    anything else raises ``ValueError`` naming the valid modes.
     """
-    if compute is None:
-        return None
     if isinstance(compute, ComputeSettings):
         return compute
-    return ComputeSettings(mode=str(compute), cache_dir=cache_dir)
+    return ComputeSettings(mode=compute, cache_dir=cache_dir)
 
 
 @dataclass(frozen=True)

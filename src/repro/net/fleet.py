@@ -26,15 +26,14 @@ from .compute import (
     ComputeResolver,
     ComputeSettings,
     ComputeSummary,
-    ResolvedCompute,
     compute_settings,
     record_compute_counters,
 )
 from .node import (
-    ERROR_SAMPLE_HZ,
     REFERENCE_NODE_ID,
     NodeResult,
     build_node,
+    sample_grid,
 )
 from .radio import Beacon, beacon_schedule
 from .scenarios import SCENARIOS, Scenario, parse_scenario, with_protocol
@@ -59,15 +58,15 @@ class FleetConfig:
             allowed and yields an empty summary).
         duration_s: simulated seconds of ECG per node.
         seed: fleet seed; all per-node streams derive from it.
-        compute: app-compute resolution settings (None = simulate
-            inline per node, the legacy path).
+        compute: app-compute resolution settings (default: the
+            ``"exact"`` resolver).
     """
 
     scenario: Scenario
     n_nodes: int
     duration_s: float = DEFAULT_DURATION_S
     seed: int = DEFAULT_SEED
-    compute: ComputeSettings | None = None
+    compute: ComputeSettings = ComputeSettings()
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,8 @@ class FleetResult:
         workers: worker processes used (1 = serial).
         shards: number of node batches executed.
         mode: ``"serial"`` or ``"parallel"``.
-        compute: compute-resolution account (None = legacy inline
-            simulation).
+        compute: compute-resolution account (None only on results
+            built by hand).
     """
 
     summary: FleetSummary
@@ -101,9 +100,8 @@ def _simulate_shard(payload: tuple) -> list[NodeResult]:
     """Simulate one batch of node ids (top-level: must pickle).
 
     ``resolved`` maps compute keys to pre-resolved entries (resolved
-    once in the main process); None keeps the legacy inline path.  A
-    missing key is a hard error — workers never fall back to silent
-    re-simulation.
+    once in the main process).  A missing key is a hard error —
+    workers never fall back to silent re-simulation.
     """
     config, node_ids, beacons, sample_times, ref_readings, resolved = payload
     results = []
@@ -111,13 +109,9 @@ def _simulate_shard(payload: tuple) -> list[NodeResult]:
         node = build_node(
             config.scenario, node_id, config.seed, config.duration_s
         )
-        compute: ResolvedCompute | None = None
-        if resolved is not None:
-            compute = resolved[node.compute_request().key]
+        compute = resolved[node.compute_request().key]
         results.append(
-            node.simulate(
-                beacons, sample_times, ref_readings, compute=compute
-            )
+            node.simulate(beacons, sample_times, ref_readings, compute)
         )
     return results
 
@@ -143,8 +137,7 @@ class FleetRunner:
         beacons = beacon_schedule(
             config.scenario.beacon_period_s, config.duration_s, reference.clock
         )
-        samples = int(config.duration_s * ERROR_SAMPLE_HZ)
-        sample_times = [(i + 1) / ERROR_SAMPLE_HZ for i in range(samples)]
+        sample_times, _ = sample_grid(config.duration_s)
         ref_readings = [reference.clock.read(t) for t in sample_times]
         return beacons, sample_times, ref_readings
 
@@ -176,23 +169,27 @@ class FleetRunner:
         # throughput always includes the compute work, whichever tier
         # performed it.
         span = obs.span("net.fleet.run").start()
-        resolution = None
-        if config.compute is not None and node_ids:
-            with obs.span("net.compute.resolve"):
-                resolution = ComputeResolver(config.compute).resolve(
-                    [
-                        build_node(
-                            config.scenario,
-                            node_id,
-                            config.seed,
-                            config.duration_s,
-                        ).compute_request()
-                        for node_id in node_ids
-                    ]
-                )
-        resolved = resolution.table if resolution is not None else None
+        with obs.span("net.compute.resolve"):
+            resolution = ComputeResolver(config.compute).resolve(
+                [
+                    build_node(
+                        config.scenario,
+                        node_id,
+                        config.seed,
+                        config.duration_s,
+                    ).compute_request()
+                    for node_id in node_ids
+                ]
+            )
         payloads = [
-            (config, ids, beacons, sample_times, ref_readings, resolved)
+            (
+                config,
+                ids,
+                beacons,
+                sample_times,
+                ref_readings,
+                resolution.table,
+            )
             for ids in shards
         ]
         if parallel:
@@ -200,8 +197,7 @@ class FleetRunner:
         else:
             batches = [_simulate_shard(payload) for payload in payloads]
         elapsed = span.stop()
-        if resolution is not None:
-            record_compute_counters(resolution.summary)
+        record_compute_counters(resolution.summary)
 
         results = sorted(
             (node for batch in batches for node in batch),
@@ -215,7 +211,7 @@ class FleetRunner:
             workers=workers_used,
             shards=len(shards),
             mode="parallel" if parallel else "serial",
-            compute=resolution.summary if resolution is not None else None,
+            compute=resolution.summary,
         )
 
     @staticmethod
@@ -296,7 +292,7 @@ def run_fleet(
     protocol: str | None = None,
     workers: int = 1,
     shard_size: int | None = None,
-    compute: str | ComputeSettings | None = None,
+    compute: str | ComputeSettings = "exact",
     compute_cache: str | None = None,
 ) -> FleetResult:
     """Convenience wrapper: resolve a scenario and run it once.
@@ -313,9 +309,8 @@ def run_fleet(
         workers: worker processes (1 = serial).
         shard_size: explicit batch size (defaults to an even split).
         compute: ``"exact"`` / ``"analytic"`` /
-            :class:`~repro.net.compute.ComputeSettings` to resolve
-            app compute through the fleet fast path (None = legacy
-            inline simulation; ``"exact"`` is byte-identical to it).
+            :class:`~repro.net.compute.ComputeSettings`: how app
+            compute is resolved (see :mod:`repro.net.compute`).
         compute_cache: on-disk compute-cache root (used when
             ``compute`` is a mode string).
 

@@ -23,20 +23,21 @@ a worker process is bit-identical to the same node simulated inline
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 
 from .. import obs
 from ..apps.phases import AppSpec
 from ..power.energy import PowerReport
-from ..sysc.engine import BeatEvent, Mode, cached_uniform_schedule, simulate
+from ..sysc.engine import BeatEvent, Mode, cached_uniform_schedule
 from .appsource import APPS, AppBinding
 from .compute import ComputeRequest, ResolvedCompute, build_request
-from .clock import ClockSpec, LocalClock
+from .clock import LocalClock, draw_clock
+from .hierarchy import hop_error_samples
 from .radio import Beacon, RadioEnergy, receive_beacons
 from .scenarios import Scenario
 from .stats import SyncError
-from .timesync import make_protocol
 
 __all__ = [
     "APPS",
@@ -45,6 +46,7 @@ __all__ = [
     "NetworkNode",
     "NodeResult",
     "build_node",
+    "sample_grid",
 ]
 
 #: Node id of the sync reference (the continuously powered hub).
@@ -52,6 +54,19 @@ REFERENCE_NODE_ID = 0
 
 #: Error-sampling rate of the residual sync error (Hz of global time).
 ERROR_SAMPLE_HZ = 5.0
+
+
+def sample_grid(duration_s: float) -> tuple[list[float], int]:
+    """Residual-error sample times of a run and its steady start.
+
+    Samples fall every ``1 / ERROR_SAMPLE_HZ`` s of global time; the
+    steady window is the suffix from the first sample at or after
+    ``duration_s / 2`` (``steady_index == len(sample_times)`` when
+    there is none).
+    """
+    count = int(duration_s * ERROR_SAMPLE_HZ)
+    sample_times = [(i + 1) / ERROR_SAMPLE_HZ for i in range(count)]
+    return sample_times, bisect.bisect_left(sample_times, duration_s / 2.0)
 
 
 @dataclass(frozen=True)
@@ -87,9 +102,9 @@ class NodeResult:
             paper default was derived inside the simulator).
         repairs: replicas trimmed to fit the platform.
         compute_key: content-addressed key of the node's app-compute
-            work ("" when simulated inline, the legacy path).
+            work.
         compute_tier: which tier resolved it (``"exact"`` /
-            ``"analytic"``; "" when simulated inline).
+            ``"analytic"``).
     """
 
     node_id: int
@@ -189,42 +204,26 @@ class NetworkNode:
         beacons: list[Beacon],
         sample_times: list[float],
         ref_readings: list[float],
-        compute: ResolvedCompute | None = None,
+        compute: ResolvedCompute,
     ) -> NodeResult:
         """Run the node over one window.
 
         Args:
             beacons: the reference node's broadcast schedule.
             sample_times: global times at which the residual sync
-                error is sampled.
+                error is sampled (sorted, as :func:`sample_grid`
+                builds them).
             ref_readings: the reference clock's exact reading at each
                 sample time (``len(sample_times)`` values).
-            compute: pre-resolved app-compute entry from
-                :class:`repro.net.compute.ComputeResolver` (None =
-                simulate inline, the legacy path).  The radio, clock
-                and sync work below is always exact and per-node.
+            compute: the node's pre-resolved app-compute entry from
+                :class:`repro.net.compute.ComputeResolver`.  The
+                radio, clock and sync work below is always exact and
+                per-node.
         """
-        if compute is None:
-            result = simulate(
-                self.app,
-                self.mode(),
-                self.schedule(),
-                duration_s=self.duration_s,
-                num_cores=self.binding.num_cores,
-                mapping=self.binding.plan,
-            )
-            power = result.power
-            compute_key = compute_tier = ""
-        else:
-            power = compute.report()
-            compute_key = compute.key
-            compute_tier = compute.tier
-
+        power = compute.report()
         energy = RadioEnergy()
         errors: list[float] = []
-        steady: list[float] = []
         base_errors: list[float] = []
-        base_steady: list[float] = []
         if self.is_reference:
             energy.tx_messages = len(beacons)
             heard = 0
@@ -233,9 +232,14 @@ class NetworkNode:
                 beacons, self.clock, self.scenario.radio, self._rng_radio
             )
             energy.rx_messages = heard = len(receptions)
-            errors, steady, base_errors, base_steady = self._sync_errors(
-                receptions, sample_times, ref_readings
+            errors, base_errors = hop_error_samples(
+                self.scenario.protocol,
+                receptions,
+                self.clock,
+                sample_times,
+                ref_readings,
             )
+        steady = bisect.bisect_left(sample_times, self.duration_s / 2.0)
 
         radio_uw = energy.average_uw(self.scenario.radio, self.duration_s)
         obs.add("net.node.simulations")
@@ -255,58 +259,17 @@ class NetworkNode:
             radio_uw=radio_uw,
             power=power,
             sync=SyncError.from_samples(errors),
-            steady_sync=SyncError.from_samples(steady),
+            steady_sync=SyncError.from_samples(errors[steady:]),
             unsync=SyncError.from_samples(base_errors),
-            steady_unsync=SyncError.from_samples(base_steady),
+            steady_unsync=SyncError.from_samples(base_errors[steady:]),
             token=self.binding.token,
             family=self.binding.family,
             policy=self.binding.policy,
             floor_mhz=self.binding.floor_mhz,
             repairs=self.binding.repairs,
-            compute_key=compute_key,
-            compute_tier=compute_tier,
+            compute_key=compute.key,
+            compute_tier=compute.tier,
         )
-
-    def _sync_errors(
-        self, receptions, sample_times: list[float], ref_readings: list[float]
-    ) -> tuple[list[float], list[float], list[float], list[float]]:
-        """Replay receptions and error samples in global-time order.
-
-        Returns the active protocol's error samples and, from the same
-        replay, the free-running baseline (raw local clock vs.
-        reference) — the counterfactual every report compares against.
-        """
-        protocol = make_protocol(self.scenario.protocol)
-        events = [(r.rx_global, 0, r) for r in receptions]
-        events += [(t, 1, i) for i, t in enumerate(sample_times)]
-        events.sort(key=lambda event: (event[0], event[1]))
-        errors: list[float] = []
-        steady: list[float] = []
-        base_errors: list[float] = []
-        base_steady: list[float] = []
-        steady_from = self.duration_s / 2.0
-        seen_resets = 0
-        for when, kind, payload in events:
-            resets = self.clock.resets_before(when)
-            if resets != seen_resets:
-                protocol.on_reboot()
-                seen_resets = resets
-            if kind == 0:
-                protocol.on_beacon(
-                    payload.beacon.ref_timestamp, payload.rx_local
-                )
-            else:
-                local = self.clock.read(when)
-                error = (
-                    protocol.estimate_reference(local) - ref_readings[payload]
-                )
-                baseline = local - ref_readings[payload]
-                errors.append(error)
-                base_errors.append(baseline)
-                if when >= steady_from:
-                    steady.append(error)
-                    base_steady.append(baseline)
-        return errors, steady, base_errors, base_steady
 
 
 def build_node(
@@ -328,22 +291,15 @@ def build_node(
     binding = scenario.apps.bind(rng_app, scenario.abnormal_ratio)
     bpm = rng_app.uniform(*scenario.bpm_range)
 
-    magnitude = rng_app.uniform(*scenario.drift_ppm_range)
-    sign = 1.0 if rng_app.random() < 0.5 else -1.0
-    offset = rng_app.uniform(
-        -scenario.initial_offset_s, scenario.initial_offset_s
-    )
     loss_rate = (
         0.0 if node_id == REFERENCE_NODE_ID else scenario.power_loss_rate_hz
     )
-    spec = ClockSpec(
-        drift_ppm=sign * magnitude,
-        jitter_s=scenario.jitter_s,
-        initial_offset_s=offset,
-        power_loss_rate_hz=loss_rate,
-    )
-    clock = LocalClock(
-        spec, _stream(fleet_seed, node_id, "clock"), horizon_s=duration_s
+    clock = draw_clock(
+        rng_app,
+        scenario,
+        _stream(fleet_seed, node_id, "clock"),
+        duration_s,
+        loss_rate,
     )
     return NetworkNode(
         node_id=node_id,

@@ -64,7 +64,7 @@ from .hierarchy import (
     parse_hierarchy,
     profile_table,
 )
-from .node import ERROR_SAMPLE_HZ
+from .node import sample_grid
 from .radio import RadioEnergy, beacon_schedule, receive_beacons
 from .stats import FleetSummary, SyncError, TierSummary
 
@@ -190,10 +190,10 @@ class StreamingConfig:
             checkpointed only at the end).
         checkpoint_dir: directory of the content-addressed state
             file; ``None`` disables checkpointing.
-        compute: app-compute resolution settings; when set, the
-            source's profile universe is resolved once in the main
-            process and waves ship the resulting lookup table (None
-            = per-worker memoised simulation, the legacy path).
+        compute: app-compute resolution settings (default: the
+            ``"exact"`` resolver); the source's profile universe is
+            resolved once in the main process and waves ship the
+            resulting lookup table.
     """
 
     spec: HierarchySpec
@@ -201,7 +201,7 @@ class StreamingConfig:
     seed: int = DEFAULT_SEED
     wave_size: int | None = None
     checkpoint_dir: str | Path | None = None
-    compute: ComputeSettings | None = None
+    compute: ComputeSettings = ComputeSettings()
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0.0:
@@ -244,7 +244,7 @@ class HierarchyResult:
         peak_rss_mb: peak resident set of this process, MiB (0 where
             :mod:`resource` is unavailable).
         compute: compute-resolution account over the profile
-            universe (None = legacy per-worker memoisation).
+            universe (None only on results built by hand).
     """
 
     spec: HierarchySpec
@@ -294,7 +294,7 @@ def _walk(
     sample_times: list[float],
     steady_index: int,
     parts: list[_TierState],
-    profiles: dict[tuple, float] | None = None,
+    profiles: dict[tuple, float],
 ) -> None:
     """Simulate one member and, depth-first, everything under it."""
     tier = spec.tiers[tier_index]
@@ -492,24 +492,15 @@ class StreamingRunner:
             beacons = beacon_schedule(
                 spec.tiers[0].beacon_period_s, duration_s, root_clock
             )
-        n_samples = int(duration_s * ERROR_SAMPLE_HZ)
-        sample_times = [(i + 1) / ERROR_SAMPLE_HZ for i in range(n_samples)]
+        sample_times, steady_index = sample_grid(duration_s)
         root_readings = [root_clock.read(t) for t in sample_times]
-        steady_from = duration_s / 2.0
-        steady_index = next(
-            (i for i, t in enumerate(sample_times) if t >= steady_from),
-            n_samples,
-        )
 
-        profiles = None
-        profile_summary = None
-        if config.compute is not None:
-            # Resolved once, in the main process, from the source's
-            # closed binding universe — workers only ever look up.
-            with obs.span("net.compute.resolve"):
-                profiles, profile_summary = profile_table(
-                    spec.base, duration_s, ComputeResolver(config.compute)
-                )
+        # Resolved once, in the main process, from the source's closed
+        # binding universe — workers only ever look up.
+        with obs.span("net.compute.resolve"):
+            profiles, profile_summary = profile_table(
+                spec.base, duration_s, ComputeResolver(config.compute)
+            )
 
         subtrees = spec.subtrees
         wave_size = config.wave_size or max(subtrees, 1)
@@ -576,11 +567,10 @@ class StreamingRunner:
                 with obs.span("net.stream.checkpoint.write"):
                     self._write(checkpoint, token, done, state, delta)
         elapsed = run_span.stop()
-        if profile_summary is not None:
-            # Emitted once, after the final checkpoint write, so the
-            # persisted delta never contains it: cold, killed and
-            # resumed runs all end up with exactly one emission.
-            record_compute_counters(profile_summary)
+        # Emitted once, after the final checkpoint write, so the
+        # persisted delta never contains it: cold, killed and resumed
+        # runs all end up with exactly one emission.
+        record_compute_counters(profile_summary)
 
         root_energy = RadioEnergy()
         root_energy.tx_messages = len(beacons)
@@ -690,16 +680,15 @@ def run_streaming(
     wave_size: int | None = None,
     checkpoint_dir: str | Path | None = None,
     max_waves: int | None = None,
-    compute: str | ComputeSettings | None = None,
+    compute: str | ComputeSettings = "exact",
     compute_cache: str | None = None,
 ) -> HierarchyResult:
     """One-call streaming run of a hierarchy token, preset or spec.
 
     ``compute`` / ``compute_cache`` mirror
-    :func:`repro.net.fleet.run_fleet`: None keeps the legacy
-    per-worker profile memo, ``"exact"`` resolves the same profiles
-    through the shared compute cache (byte-identical results), and
-    ``"analytic"`` additionally screens them through the calibrated
+    :func:`repro.net.fleet.run_fleet`: ``"exact"`` resolves the
+    profile universe through the shared compute cache, and
+    ``"analytic"`` additionally screens it through the calibrated
     closed-form model.
     """
     if isinstance(tiers, HierarchySpec):

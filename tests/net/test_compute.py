@@ -1,8 +1,9 @@
 """Compute fast-path tests: keys, cache tiers, byte-determinism.
 
-The resolver's contract has three load-bearing halves, each pinned
-here: the exact tier is *byte-identical* to the legacy inline path
-(golden artifacts captured before the resolver landed), the analytic
+The resolver is the only compute path, and its contract has three
+load-bearing halves, each pinned here: the exact tier is
+*byte-identical* to the inline simulation it replaced (golden
+artifacts captured before the resolver landed), the analytic
 tier agrees with exact simulation to calibration accuracy on every
 scenario preset, and every artifact is deterministic across hash
 seeds, worker counts, cache temperature and kill-and-resume.
@@ -12,7 +13,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ import pytest
 from repro.net.compute import (
     COMPUTE_CACHE_ENV,
     COMPUTE_ENTRY_SCHEMA,
+    COMPUTE_MODES,
     ComputeCache,
     ComputeResolver,
     ComputeSettings,
@@ -116,39 +117,34 @@ def test_compute_request_key_is_content_addressed():
 
 
 # ---------------------------------------------------------------------------
-# Exact tier == legacy inline path
+# The exact resolver is the default (and only) compute path
 # ---------------------------------------------------------------------------
 
-def _strip_provenance(nodes):
-    return tuple(replace(node, compute_key="", compute_tier="")
-                 for node in nodes)
-
-
-def test_exact_resolver_matches_legacy_inline():
-    clear_process_caches()
-    legacy = run_fleet("dense-ward", n_nodes=6, duration_s=2.0)
-    exact = run_fleet("dense-ward", n_nodes=6, duration_s=2.0,
-                      compute="exact")
-    assert legacy.compute is None
-    assert exact.compute is not None and exact.compute.mode == "exact"
-    assert exact.summary == legacy.summary
-    assert _strip_provenance(exact.nodes) == legacy.nodes
+def test_default_runs_resolve_through_exact_resolver():
+    clear_process_caches()  # memo entries keep the tier that made them
+    fleet = run_fleet("dense-ward", n_nodes=6, duration_s=2.0)
+    assert isinstance(fleet.compute, ComputeSummary)
+    assert fleet.compute.mode == "exact"
+    assert fleet.compute.requests == 6
     assert all(node.compute_tier == "exact" and node.compute_key
-               for node in exact.nodes)
-    assert all(node.compute_key == "" and node.compute_tier == ""
-               for node in legacy.nodes)
+               for node in fleet.nodes)
+    stream = run_streaming("tiers:ftsp@4x10/rbs@2x10:dense-ward",
+                           duration_s=2.0, seed=1)
+    assert isinstance(stream.compute, ComputeSummary)
+    assert stream.compute.mode == "exact"
 
 
-def test_streaming_exact_resolver_matches_legacy():
-    token = "tiers:ftsp@4x10/rbs@2x10:dense-ward"
-    clear_process_caches()
-    legacy = run_streaming(token, duration_s=2.0, seed=1)
-    exact = run_streaming(token, duration_s=2.0, seed=1,
-                          compute="exact")
-    assert legacy.compute is None
-    assert exact.compute is not None
-    assert exact.summary == legacy.summary
-    assert exact.tiers == legacy.tiers
+@pytest.mark.parametrize("run", [
+    lambda: run_fleet("dense-ward", n_nodes=2, duration_s=1.0,
+                      compute=None),
+    lambda: run_streaming("tiers:ftsp@4x2:dense-ward", duration_s=1.0,
+                          compute=None),
+], ids=["run_fleet", "run_streaming"])
+def test_compute_none_is_rejected_with_valid_modes(run):
+    with pytest.raises(ValueError) as excinfo:
+        run()
+    message = str(excinfo.value)
+    assert all(mode in message for mode in COMPUTE_MODES)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +291,7 @@ def test_report_rebuilds_in_canonical_category_order():
 
 
 def test_compute_settings_normalisation():
-    assert compute_settings(None) is None
+    assert compute_settings("exact") == ComputeSettings()
     settings = compute_settings("analytic", "/tmp/x")
     assert settings == ComputeSettings(mode="analytic",
                                        cache_dir="/tmp/x")
