@@ -197,6 +197,7 @@ def _clear_compute_memos() -> None:
     appsource._resolve_generated.cache_clear()
     appsource._generated_binding.cache_clear()
     appsource._benchmark_binding.cache_clear()
+    appsource._suite_tokens.cache_clear()
     cached_uniform_schedule.cache_clear()
 
 

@@ -257,6 +257,16 @@ def _generated_binding(
     )
 
 
+@lru_cache(maxsize=64)
+def _suite_tokens(
+    seed: int, count: int, families: tuple[str, ...]
+) -> tuple[str, ...]:
+    """One suite's tokens (memoised: every node draw reads them)."""
+    from ..gen.generator import suite_tokens
+
+    return tuple(suite_tokens(seed, count, families or None))
+
+
 @dataclass(frozen=True)
 class GeneratedSuiteSource:
     """Nodes draw generated applications from one seeded suite.
@@ -288,11 +298,9 @@ class GeneratedSuiteSource:
         for family in self.families:
             require_family(family)
 
-    def tokens(self) -> list[str]:
-        """The suite's regeneration tokens."""
-        from ..gen.generator import suite_tokens
-
-        return suite_tokens(self.seed, self.count, self.families or None)
+    def tokens(self) -> tuple[str, ...]:
+        """The suite's regeneration tokens (shared, hence a tuple)."""
+        return _suite_tokens(self.seed, self.count, tuple(self.families))
 
     def bind(
         self, rng: random.Random, abnormal_ratio: float = 0.0

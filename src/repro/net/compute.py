@@ -15,12 +15,16 @@ This module resolves that shared part through three tiers:
    content-addressed disk layer (same layout and code-fingerprint
    namespacing rules as :mod:`repro.sweep.cache`), keyed by
    ``(app fingerprint, plan hash, mode, num_cores, duration_s,
-   schedule signature)``.
+   schedule signature)``.  The memo holds every entry; the disk
+   holds only exact entries and calibration blocks, because
+   re-scoring an analytic entry is cheaper than writing its file.
+   In ``exact`` mode a cached entry of any other tier is a miss.
 2. **Batched analytic tier** — all distinct uncached multi-core keys
-   in a fleet/wave are grouped per application and scored in one
-   :meth:`repro.oracle.AnalyticModel.score` call each, gated by
-   :func:`repro.oracle.calibrate` (outside tolerance = nothing is
-   screened).
+   in a fleet/wave are grouped per application (across beat
+   schedules: each row of the batch carries its own schedule) and
+   scored in one :meth:`repro.oracle.AnalyticModel.score` call per
+   application, gated by :func:`repro.oracle.calibrate` (outside
+   tolerance = nothing is screened).
 3. **Exact fallback** — plain ``simulate()`` for single-core plans,
    unconvertible placements, or when the analytic tier is off.
 
@@ -43,7 +47,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .. import obs
 from ..apps.mapping import MappingPlan, map_multicore
@@ -453,8 +457,21 @@ class ComputeCache:
         return payload
 
     def put(self, key: str, payload: dict) -> None:
-        """Store one entry (memo always, disk when configured)."""
+        """Store one entry: memo always, disk only for exact ones.
+
+        Analytic entries stay off disk: re-scoring one in a batch
+        costs far less than writing its file, and gives the same
+        bytes.
+        """
         _MEMO[key] = payload
+        if payload["tier"] == EXACT_TIER:
+            self.write(key, payload)
+
+    def write(self, key: str, payload: dict) -> None:
+        """Atomically write one payload to disk, when configured.
+
+        A failed write is dropped: the disk layer is an optimisation.
+        """
         if self.root is None:
             return
         path = self._path(key)
@@ -485,14 +502,26 @@ class ComputeResolver:
         all tier decisions are functions of the content-addressed
         keys alone (never of the physical cache state).
         """
+        from ..gen.generator import app_fingerprint
+        from .appsource import binding_app_key
+
         unique: dict[str, ComputeRequest] = {}
         for request in requests:
             unique.setdefault(request.key, request)
+        fingerprints: dict[str, str] = {}
 
+        def fingerprint(request: ComputeRequest) -> str:
+            """The request's app fingerprint, hashed once per app."""
+            app_key = binding_app_key(request.binding)
+            if app_key not in fingerprints:
+                fingerprints[app_key] = app_fingerprint(request.binding.app)
+            return fingerprints[app_key]
+
+        exact_only = self.settings.mode == "exact"
         calibration: dict | None = None
         screen = False
-        if self.settings.mode == "analytic":
-            calibration = self._calibration(unique.values())
+        if not exact_only:
+            calibration = self._calibration(unique.values(), fingerprint)
             screen = bool(calibration["within"])
 
         table: dict[str, ResolvedCompute] = {}
@@ -501,7 +530,11 @@ class ComputeResolver:
         for key in sorted(unique):
             request = unique[key]
             payload = self.cache.get(key)
-            if payload is not None:
+            # Exact mode never serves another tier's payload: a stale
+            # analytic entry in the memo is a miss and gets replaced.
+            if payload is not None and (
+                not exact_only or payload["tier"] == EXACT_TIER
+            ):
                 table[key] = ResolvedCompute(
                     key=key, tier=str(payload["tier"]), payload=payload
                 )
@@ -512,9 +545,9 @@ class ComputeResolver:
             if candidate is None:
                 exact_queue.append(request)
             else:
-                groups.setdefault(self._group_key(request), []).append(
-                    (request, candidate)
-                )
+                groups.setdefault(
+                    self._group_key(request, fingerprint(request)), []
+                ).append((request, candidate))
 
         for group in sorted(groups):
             self._score_group(groups[group], table, exact_queue)
@@ -550,18 +583,16 @@ class ComputeResolver:
         except ValueError:
             return None
 
-    def _group_key(self, request: ComputeRequest) -> str:
-        """Batch key: requests an ``AnalyticModel`` can share."""
-        from ..gen.generator import app_fingerprint
+    def _group_key(
+        self, request: ComputeRequest, fingerprint: str
+    ) -> str:
+        """Batch key: requests one ``AnalyticModel`` scores together.
 
-        ticks = int(round(request.duration_s * request.binding.app.fs))
+        Per application and platform, across beat schedules — each
+        row of the batch carries its own schedule.
+        """
         return json.dumps(
-            [
-                app_fingerprint(request.binding.app),
-                request.binding.num_cores,
-                request.duration_s,
-                schedule_signature(request.schedule, ticks),
-            ],
+            [fingerprint, request.binding.num_cores, request.duration_s],
             separators=(",", ":"),
         )
 
@@ -571,7 +602,12 @@ class ComputeResolver:
         table: dict[str, ResolvedCompute],
         exact_queue: list[ComputeRequest],
     ) -> None:
-        """Score one app group in a single vectorised model call."""
+        """Score one app group in a single vectorised model call.
+
+        If the batch is rejected, each schedule signature is retried
+        as its own batch, so the requests that fall back to the exact
+        tier are exactly those of the rejected signatures.
+        """
         from ..oracle.model import AnalyticModel
 
         first = items[0][0]
@@ -583,11 +619,35 @@ class ComputeResolver:
                 duration_s=first.duration_s,
                 schedule=first.schedule,
             )
+        if self._score_batch(model, items, table):
+            return
+        ticks = int(round(first.duration_s * first.binding.app.fs))
+        by_signature: dict[str, list[tuple[ComputeRequest, object]]] = {}
+        for request, candidate in items:
+            signature = schedule_signature(request.schedule, ticks)
+            by_signature.setdefault(json.dumps(signature), []).append(
+                (request, candidate)
+            )
+        for signature in sorted(by_signature):
+            batch = by_signature[signature]
+            if not self._score_batch(model, batch, table):
+                exact_queue.extend(request for request, _ in batch)
+
+    def _score_batch(
+        self,
+        model,
+        items: list[tuple[ComputeRequest, object]],
+        table: dict[str, ResolvedCompute],
+    ) -> bool:
+        """Score and store one batch; False if the model rejects it."""
+        with obs.suspended():
             try:
-                scores = model.score([cand for _, cand in items])
+                scores = model.score(
+                    [candidate for _, candidate in items],
+                    schedules=[request.schedule for request, _ in items],
+                )
             except ValueError:
-                exact_queue.extend(request for request, _ in items)
-                return
+                return False
         for index, (request, _) in enumerate(items):
             payload = payload_from_report(
                 scores.power_report(index), ANALYTIC_TIER
@@ -596,6 +656,7 @@ class ComputeResolver:
             table[request.key] = ResolvedCompute(
                 key=request.key, tier=ANALYTIC_TIER, payload=payload
             )
+        return True
 
     def _simulate(
         self,
@@ -624,7 +685,9 @@ class ComputeResolver:
         )
 
     def _calibration(
-        self, requests: Iterable[ComputeRequest]
+        self,
+        requests: Iterable[ComputeRequest],
+        fingerprint: Callable[[ComputeRequest], str],
     ) -> dict:
         """Gate the analytic tier per platform width.
 
@@ -639,11 +702,8 @@ class ComputeResolver:
         for request in requests:
             if request.mode is not Mode.MULTI_CORE:
                 continue
-            from ..gen.generator import app_fingerprint
-
-            fingerprint = app_fingerprint(request.binding.app)
             groups.setdefault(request.binding.num_cores, {})[
-                fingerprint
+                fingerprint(request)
             ] = request.binding.app
         blocks = []
         samples = 0
@@ -721,18 +781,7 @@ class ComputeResolver:
             payload = calibration_payload(report)
             payload["schema"] = COMPUTE_ENTRY_SCHEMA
             payload["tier"] = _CALIBRATION_TIER
-            if self.cache.root is not None:
-                path = self.cache._path(key)
-                try:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-                    tmp.write_text(
-                        json.dumps(payload, sort_keys=True),
-                        encoding="utf-8",
-                    )
-                    os.replace(tmp, path)
-                except OSError:
-                    pass
+            self.cache.write(key, payload)
         _CALIBRATION_MEMO[key] = payload
         block = {
             k: v

@@ -229,22 +229,17 @@ class AnalyticModel:
             ratio = abnormal_ratio if has_triggered else 0.0
             schedule = uniform_schedule(duration_s, fs,
                                         abnormal_ratio=ratio)
-        beats_by_tick: dict[int, int] = {}
-        for event in schedule:
-            if event.abnormal and 0 <= event.sample < self.ticks:
-                beats_by_tick[event.sample] = \
-                    beats_by_tick.get(event.sample, 0) + 1
-        self._beats = sorted(beats_by_tick.items())
-        arrivals = sum(count for _, count in self._beats)
-
         # Candidate-independent activity base (streaming phases drain
         # every tick; triggered sync ops are counted at enqueue).
         exec_stream = 0.0
-        sync_total = 0.0
         dm_stream = 0.0
         im_merged = 0.0
         dm_merged = 0.0
         span = app.beat_span_samples
+        # Sync-op terms in phase order: (coefficient, per_arrival).  A
+        # triggered phase's term scales with the schedule's abnormal
+        # arrivals, so every schedule sums its own sync total.
+        self._sync_terms: list[tuple[float, bool]] = []
         self._triggered: list[_TriggeredPhase] = []
         for phase in app.phases:
             grouped = phase.replicas > 1 and phase.lockstep_alignment > 0
@@ -254,8 +249,9 @@ class AnalyticModel:
                     [load * fs / 1e6] * phase.replicas)
                 member = load * self.ticks
                 exec_stream += phase.replicas * member
-                sync_total += (phase.replicas
-                               * phase.sync_ops_per_sample * self.ticks)
+                self._sync_terms.append((
+                    phase.replicas * phase.sync_ops_per_sample
+                    * self.ticks, False))
                 dm_stream += phase.replicas * member * phase.dm_access_rate
                 if grouped and load > 0:
                     weight = (phase.lockstep_alignment
@@ -267,8 +263,9 @@ class AnalyticModel:
                 self._slot_loads.extend([0.0] * phase.replicas)
                 work = (phase.cycles_per_sample
                         + phase.sync_ops_per_sample) * span
-                sync_total += (phase.replicas * phase.sync_ops_per_sample
-                               * span * arrivals)
+                self._sync_terms.append((
+                    phase.replicas * phase.sync_ops_per_sample * span,
+                    True))
                 self._triggered.append(_TriggeredPhase(
                     work_per_beat=work,
                     replicas=phase.replicas,
@@ -278,8 +275,9 @@ class AnalyticModel:
                     if grouped else 0.0,
                     shared_read_fraction=phase.shared_read_fraction,
                 ))
+        self._counts, self._gaps = self._beat_steps(schedule)
+        self._sync_total = self._sync_sum(sum(self._counts))
         self._exec_stream = exec_stream
-        self._sync_total = sync_total
         self._dm_stream = dm_stream
         self._im_merged_stream = im_merged
         self._dm_merged_stream = dm_merged
@@ -322,8 +320,55 @@ class AnalyticModel:
                 f"0..{self.geometry.banks - 1}")
         return cores, banks
 
+    def _beat_steps(
+        self, schedule: Sequence[BeatEvent]
+    ) -> tuple[list[int], list[int]]:
+        """(counts, gaps) of a schedule's abnormal beats in ``[0, ticks)``.
+
+        One step per distinct beat tick: the beats arriving there and
+        the ticks until the next arrival (or the end of the run) —
+        the only schedule properties the multi-core reduction reads.
+        """
+        beats_by_tick: dict[int, int] = {}
+        for event in schedule:
+            if event.abnormal and 0 <= event.sample < self.ticks:
+                beats_by_tick[event.sample] = \
+                    beats_by_tick.get(event.sample, 0) + 1
+        ticks = sorted(beats_by_tick)
+        gaps = [next_tick - tick for tick, next_tick
+                in zip(ticks, ticks[1:] + [self.ticks])]
+        return [beats_by_tick[tick] for tick in ticks], gaps
+
+    def _row_steps(
+        self, schedules: Sequence[Sequence[BeatEvent]]
+    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """Per-row beat steps as padded columns, plus arrivals per row.
+
+        Rows with fewer steps are padded with zero-count, zero-gap
+        steps, which leave the replay queue untouched bit for bit.
+        """
+        steps = [self._beat_steps(schedule) for schedule in schedules]
+        width = max(len(counts) for counts, _ in steps)
+        counts = np.zeros((len(steps), width), dtype=np.int64)
+        gaps = np.zeros((len(steps), width), dtype=np.int64)
+        for row, (row_counts, row_gaps) in enumerate(steps):
+            counts[row, :len(row_counts)] = row_counts
+            gaps[row, :len(row_gaps)] = row_gaps
+        return list(counts.T), list(gaps.T), counts.sum(axis=1)
+
+    def _sync_sum(self, arrivals):
+        """Executed sync ops of a schedule with ``arrivals`` beats.
+
+        Summed in phase order; ``arrivals`` may be one count or an
+        array of per-row counts.
+        """
+        total = 0.0
+        for coefficient, per_arrival in self._sync_terms:
+            total += coefficient * arrivals if per_arrival else coefficient
+        return total
+
     def _triggered_executed(
-        self, capacity: np.ndarray
+        self, capacity: np.ndarray, counts: Sequence, gaps: Sequence
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(executed, dm, im_merged, dm_merged) parts per candidate.
 
@@ -331,19 +376,16 @@ class AnalyticModel:
         granularity: between arrivals a queue drains ``min(queue,
         gap_ticks * capacity)`` cycles, exactly as the tick loop
         would, so the per-member executed total is exact even when the
-        drain is cut short by the end of the run.
+        drain is cut short by the end of the run.  Each step's count
+        and gap is either shared by every row or one value per row.
         """
         n = len(capacity)
         executed = np.zeros(n)
         dm = np.zeros(n)
         im_merged = np.zeros(n)
         dm_merged = np.zeros(n)
-        if not self._beats:
+        if not len(counts):
             return executed, dm, im_merged, dm_merged
-        ticks = [tick for tick, _ in self._beats]
-        counts = [count for _, count in self._beats]
-        gaps = [next_tick - tick for tick, next_tick
-                in zip(ticks, ticks[1:] + [self.ticks])]
         for phase in self._triggered:
             queue = np.zeros(n)
             member = np.zeros(n)
@@ -360,28 +402,48 @@ class AnalyticModel:
                               * phase.shared_read_fraction)
         return executed, dm, im_merged, dm_merged
 
-    def score(self, candidates) -> PopulationScores:
+    def score(self, candidates,
+              schedules: "Sequence[Sequence[BeatEvent]] | None" = None
+              ) -> PopulationScores:
         """Score a whole population of candidates in one call.
 
         Args:
             candidates: a sequence of feasible
                 :class:`~repro.search.space.Candidate` mappings of
                 this model's application.
+            schedules: one beat schedule per candidate, so rows with
+                different schedules (fleet nodes with their own
+                abnormal beats) score in the same call; only their
+                abnormal beats matter, as for the constructor's
+                ``schedule``.  None scores every row against the
+                constructor's schedule.  Either way a row's figures
+                are bit-identical to scoring it alone against a model
+                built with its schedule.
 
         Returns:
             Parallel score arrays, one entry per candidate, in input
             order.
 
         Raises:
-            ValueError: empty population, or a candidate whose slots,
-                sections, cores or banks do not fit this application
-                and platform.
+            ValueError: empty population, ``schedules`` not matching
+                the candidates one for one, or a candidate whose
+                slots, sections, cores or banks do not fit this
+                application and platform.
         """
         if not len(candidates):
             raise ValueError("cannot score an empty population")
         cores, banks = self._as_arrays(candidates)
         n = len(candidates)
         rows = np.arange(n)
+        if schedules is None:
+            counts, gaps = self._counts, self._gaps
+            sync_total = self._sync_total
+        else:
+            if len(schedules) != n:
+                raise ValueError(
+                    f"{len(schedules)} schedules for {n} candidates")
+            counts, gaps, arrivals = self._row_steps(schedules)
+            sync_total = self._sync_sum(arrivals)
 
         # Clock floor: per-core summed streaming load, slot by slot in
         # the same order plan_required_mhz accumulates it.
@@ -405,11 +467,11 @@ class AnalyticModel:
         capacity = clock * 1e6 / self._fs  # cycles per tick
         wall = self.ticks * capacity
         trig_exec, trig_dm, trig_im_merged, trig_dm_merged = \
-            self._triggered_executed(capacity)
+            self._triggered_executed(capacity, counts, gaps)
 
         total_executed = self._exec_stream + trig_exec
         total_dm = self._dm_stream + trig_dm
-        sync_writes = self._sync_total * SYNC_WRITE_FRACTION
+        sync_writes = sync_total * SYNC_WRITE_FRACTION
         im_accesses = (total_executed
                        - (self._im_merged_stream + trig_im_merged))
         dm_accesses = (total_dm
@@ -440,7 +502,7 @@ class AnalyticModel:
         im_pj = im_accesses * params.im_access_pj
         dm_pj = dm_accesses * params.dm_access_pj
         xbar_pj = grants * params.xbar_grant_pj
-        sync_pj = (self._sync_total * params.sync_op_pj
+        sync_pj = (sync_total * params.sync_op_pj
                    + wall * params.sync_idle_pj)
 
         def to_uw(pico_joules):
@@ -471,7 +533,7 @@ class AnalyticModel:
         duty = np.divide(total_executed, provisioned,
                          out=np.zeros(n), where=provisioned > 0)
         sync_overhead = np.divide(
-            np.full(n, self._sync_total), total_executed,
+            np.full(n, sync_total), total_executed,
             out=np.zeros(n), where=total_executed > 0)
 
         if self.kind == "clock":

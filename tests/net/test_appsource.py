@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.apps.mapping import MappingError
-from repro.gen.generator import parse_app_token
+from repro.gen.generator import parse_app_token, suite_tokens
 from repro.net.appsource import (
     APPS,
     BenchmarkSource,
@@ -69,6 +69,20 @@ def test_generated_source_binds_suite_apps_with_plans():
     assert binding.plan is not None and binding.plan.multicore
     assert binding.floor_mhz > 0.0
     assert binding.app.name.startswith("G")
+
+
+def test_generated_source_tokens_are_memoised_tuples():
+    source = GeneratedSuiteSource(seed=11, count=6, policy="balanced")
+    tokens = source.tokens()
+    assert isinstance(tokens, tuple)  # shared, so immutable
+    assert list(tokens) == suite_tokens(11, 6)
+    assert source.tokens() is tokens
+    # The memo keys on the suite, not on the policy or platform.
+    assert GeneratedSuiteSource(seed=11, count=6,
+                                policy="paper").tokens() is tokens
+    other = GeneratedSuiteSource(seed=11, count=6,
+                                 families=("pipeline",)).tokens()
+    assert list(other) == suite_tokens(11, 6, ("pipeline",))
 
 
 def test_generated_source_binding_is_deterministic():

@@ -225,13 +225,132 @@ def test_disk_cache_cold_vs_warm_nodes_identical(tmp_path, monkeypatch):
     clear_process_caches()
     cold = run_fleet(GEN, n_nodes=8, duration_s=2.0,
                      compute="analytic")
-    assert list(tmp_path.rglob("*.json"))  # disk layer engaged
-    clear_process_caches()  # second run must be served from disk
+    assert cold.compute.screened > 0
+    entries = [json.loads(path.read_text())
+               for path in tmp_path.rglob("*.json")]
+    assert entries  # disk layer engaged (the calibration block)
+    # Analytic entries live in the process memo only.
+    assert all(entry["tier"] != "analytic" for entry in entries)
+    # Fresh memo: calibration comes from disk, analytic entries are
+    # re-scored, and the result is the same.
+    clear_process_caches()
     warm = run_fleet(GEN, n_nodes=8, duration_s=2.0,
                      compute="analytic")
     assert warm.summary == cold.summary
     assert warm.nodes == cold.nodes
     assert warm.compute == cold.compute
+
+
+def test_exact_mode_never_serves_analytic_entries():
+    """An exact run after an analytic one, same process memo."""
+    requests = [
+        build_node(parse_scenario(GEN), node_id, 1, 2.0).compute_request()
+        for node_id in range(8)
+    ]
+    clear_process_caches()
+    clean_table = ComputeResolver(ComputeSettings()).resolve(
+        requests).table
+    clean = run_fleet(GEN, n_nodes=8, duration_s=2.0, compute="exact")
+
+    clear_process_caches()
+    analytic = run_fleet(GEN, n_nodes=8, duration_s=2.0,
+                         compute="analytic")
+    assert analytic.compute.screened > 0
+    exact = run_fleet(GEN, n_nodes=8, duration_s=2.0, compute="exact")
+    assert {node.compute_tier for node in exact.nodes} == {"exact"}
+    assert exact.nodes == clean.nodes
+    assert exact.summary == clean.summary
+    assert exact.compute == clean.compute
+
+    clear_process_caches()
+    run_fleet(GEN, n_nodes=8, duration_s=2.0, compute="analytic")
+    table = ComputeResolver(ComputeSettings()).resolve(requests).table
+    assert {entry.tier for entry in table.values()} == {"exact"}
+    for key, entry in clean_table.items():
+        assert table[key].payload == entry.payload
+        # The stale analytic memo entry was overwritten.
+        assert ComputeCache().get(key) == entry.payload
+
+
+def test_resolve_fingerprints_each_app_once(monkeypatch):
+    import repro.gen.generator as generator
+
+    requests = [
+        build_node(parse_scenario(GEN), node_id, 1, 2.0).compute_request()
+        for node_id in range(16)
+    ]
+    apps = {request.binding.app_key for request in requests}
+    assert len(apps) < len(requests)
+    calls = []
+    fingerprint = generator.app_fingerprint
+    monkeypatch.setattr(
+        generator, "app_fingerprint",
+        lambda app: calls.append(app.name) or fingerprint(app))
+    clear_process_caches()
+    resolution = ComputeResolver(ComputeSettings(mode="analytic")).resolve(
+        requests)
+    assert resolution.summary.screened > 0
+    assert len(calls) == len(apps)
+
+
+def test_one_score_call_per_app_across_schedules(monkeypatch):
+    """Nodes with different abnormal beats share one model call."""
+    from repro.oracle.model import AnalyticModel
+
+    scenario = parse_scenario("gen:drifting-wearables:1:4:balanced")
+    requests = [
+        build_node(scenario, node_id, 1, 10.0).compute_request()
+        for node_id in range(16)
+    ]
+    calls = []
+    score = AnalyticModel.score
+
+    def counting_score(self, candidates, schedules=None):
+        if self.duration_s == 10.0:  # not a calibration model
+            calls.append(len(candidates))
+        return score(self, candidates, schedules)
+
+    monkeypatch.setattr(AnalyticModel, "score", counting_score)
+    clear_process_caches()
+    resolution = ComputeResolver(ComputeSettings(mode="analytic")).resolve(
+        requests)
+    apps = {request.binding.app_key for request in requests}
+    scored = sum(1 for entry in resolution.table.values()
+                 if entry.tier == "analytic")
+    assert scored > len(apps)  # more distinct schedules than apps
+    assert sum(calls) == scored
+    assert len(calls) == len(apps)
+
+
+def test_rejected_batch_falls_back_per_schedule_signature(monkeypatch):
+    """Only the rejected signature's requests go to the exact tier."""
+    from repro.oracle.model import AnalyticModel
+
+    scenario = parse_scenario("gen:drifting-wearables:1:4:balanced")
+    requests = [
+        build_node(scenario, node_id, 1, 10.0).compute_request()
+        for node_id in range(16)
+    ]
+    ticks = int(round(10.0 * requests[0].binding.app.fs))
+    rejected = schedule_signature(requests[0].schedule, ticks)
+    score = AnalyticModel.score
+
+    def rejecting_score(self, candidates, schedules=None):
+        if schedules is not None and any(
+                schedule_signature(schedule, ticks) == rejected
+                for schedule in schedules):
+            raise ValueError("rejected for the test")
+        return score(self, candidates, schedules)
+
+    monkeypatch.setattr(AnalyticModel, "score", rejecting_score)
+    clear_process_caches()
+    table = ComputeResolver(ComputeSettings(mode="analytic")).resolve(
+        requests).table
+    for request in requests:
+        signature = schedule_signature(request.schedule, ticks)
+        expected = "exact" if signature == rejected else "analytic"
+        assert table[request.key].tier == expected
+    assert sum(entry.tier == "analytic" for entry in table.values()) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.oracle import AnalyticModel, score_population
 from repro.search.cost import ORACLE_KINDS, get_oracle
 from repro.search.space import plan_from_candidate
 from repro.oracle import sample_candidates
+from repro.sysc.engine import BeatEvent, uniform_schedule
 
 #: Built-in benchmarks plus generated shapes (the fork-join and
 #: RP-CLASS entries exercise lock-step replicas and triggered
@@ -83,6 +84,67 @@ def test_batched_equals_singleton_scoring():
     batched = model.score(candidates)
     for index, candidate in enumerate(candidates):
         assert model.score_one(candidate) == batched.cost[index]
+
+
+def _mixed_schedules(app, duration_s):
+    """Schedules with 0, few, many and doubled-up abnormal beats."""
+    ticks = int(round(duration_s * app.fs))
+    doubled = [BeatEvent(sample, True)
+               for sample in (ticks // 5, ticks // 5, ticks // 2)]
+    return [
+        uniform_schedule(duration_s, app.fs, abnormal_ratio=0.0),
+        uniform_schedule(duration_s, app.fs, abnormal_ratio=0.2),
+        uniform_schedule(duration_s, app.fs, abnormal_ratio=0.7),
+        doubled + [BeatEvent(ticks + 10, True)],  # last one clipped
+        uniform_schedule(duration_s, app.fs, abnormal_ratio=1.0),
+    ]
+
+
+def _assert_rows_equal(batched, row, single):
+    """Every per-candidate figure of ``batched[row]`` == ``single[0]``."""
+    assert batched.cost[row] == single.cost[0]
+    assert batched.power_uw[row] == single.power_uw[0]
+    assert batched.sync_overhead[row] == single.sync_overhead[0]
+    assert batched.duty_cycle[row] == single.duty_cycle[0]
+    for name, values in single.categories_uw.items():
+        assert batched.categories_uw[name][row] == values[0], name
+
+
+@pytest.mark.parametrize("app", [rp_class(), app_from_token(
+    "fork-join:2014:1")], ids=["rp-class", "fork-join"])
+def test_per_row_schedules_equal_single_schedule_models(app):
+    """A mixed-schedule batch == one model per schedule, bit for bit."""
+    app = _repaired(app)
+    schedules = _mixed_schedules(app, 2.0)
+    candidates = sample_candidates(app, samples=len(schedules), seed=4)
+    candidates = (candidates * len(schedules))[:len(schedules)]
+    model = AnalyticModel(app, kind="power", duration_s=2.0,
+                          schedule=schedules[1])
+    batched = model.score(candidates, schedules=schedules)
+    for row, (candidate, schedule) in enumerate(
+            zip(candidates, schedules)):
+        single = AnalyticModel(app, kind="power", duration_s=2.0,
+                               schedule=schedule).score([candidate])
+        _assert_rows_equal(batched, row, single)
+
+
+def test_constructor_schedule_equals_explicit_schedules():
+    """``schedules=None`` == the constructor's schedule on every row."""
+    app = _repaired(rp_class())
+    candidates = sample_candidates(app, samples=6, seed=5)
+    schedule = uniform_schedule(1.0, app.fs, abnormal_ratio=0.3)
+    model = AnalyticModel(app, kind="power", duration_s=1.0,
+                          schedule=schedule)
+    implicit = model.score(candidates)
+    explicit = model.score(candidates,
+                           schedules=[schedule] * len(candidates))
+    for row in range(len(candidates)):
+        _assert_rows_equal(explicit, row, model.score([candidates[row]]))
+        assert explicit.cost[row] == implicit.cost[row]
+    for name, values in implicit.categories_uw.items():
+        assert (explicit.categories_uw[name] == values).all(), name
+    with pytest.raises(ValueError, match="schedules"):
+        model.score(candidates, schedules=[schedule])
 
 
 def test_model_validates_inputs():
