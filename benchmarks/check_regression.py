@@ -58,11 +58,14 @@ UPDATE_MARGIN = 0.25
 RSS_CEILING_MB = 256.0
 
 #: Fixed speedup floors ``--update`` records (hard requirements, not
-#: machine-derived): the oracle bench must score >= 100x more
-#: candidates per wall-second than exact ``simulate()``, and the
-#: fleet compute fast path must finish >= 5x faster than the exact
-#: resolver on the same fleet.
-SPEEDUP_FLOORS = {"oracle": 100.0, "fleet-fast": 5.0}
+#: machine-derived): the oracle bench must score >= 50x more
+#: candidates per wall-second than exact ``simulate()`` (measured
+#: 60-120x), and the fleet compute fast path must be no slower than
+#: the exact resolver on the same fleet (measured ~1.7x).  Both
+#: are ratios against the exact engine, whose queue replay made it
+#: ~13x faster than the per-tick loop these floors were first set
+#: against.
+SPEEDUP_FLOORS = {"oracle": 50.0, "fleet-fast": 1.0}
 
 
 def check(
@@ -111,7 +114,7 @@ def check(
                 f"(baseline {floor:.0f}, tolerance {tolerance:.0%})"
             )
     # Speedup floors are hard requirements (the oracle bench must
-    # score >= 100x more candidates per wall-second than exact
+    # score >= 50x more candidates per wall-second than exact
     # simulate()), so no tolerance is applied.
     for name, floor in sorted(baseline.get("speedup", {}).items()):
         payload = benches.get(name)

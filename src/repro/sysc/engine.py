@@ -19,14 +19,40 @@ Three execution modes mirror the paper's comparisons:
 * ``MULTI_CORE_NO_SYNC`` — the Fig. 6 strawman: same mapping but
   *active waiting* instead of SLEEP (idle capacity burns as spin
   loops) and no lock-step recovery (no instruction broadcast).
+
+The model is a per-tick recurrence: on every sample each core enqueues
+its streaming load (plus the work of any abnormal beat arriving), then
+executes ``min(queue, capacity)`` cycles.  The replay steps a core only
+when its queue has work.  A tick on which the queue is ``0.0``, no beat
+arrives and ``load <= capacity`` executes exactly ``load`` and leaves
+the queue at ``0.0``, so whole runs of such ticks up to the next
+arrival are filled in bulk.  The scalar recurrence runs on arrival
+ticks, on the ticks that drain the queue after them and on every tick
+of an overloaded core; ``engine.ticks.stepped`` counts those
+core-ticks.
+
+The results are bit-identical to stepping every tick.  Each running
+sum (per-core executed, spin, data accesses and sync ops; the merged
+IM and DM accesses) is formed from the same per-tick terms, laid out in
+the loop's order and reduced with ``np.add.accumulate``, which adds
+strictly left to right.  A skipped add appears as a ``0.0`` term, which
+leaves these non-negative sums unchanged.  A lock-step group's merge
+term is a function of its members' executed cycles, so it is computed
+once for the steady tick and in Python, with the loop's own
+expression, for every other distinct tick.  The tick axis is walked in
+blocks of :data:`BLOCK_TICKS`, carrying queues and sums across blocks,
+so scratch memory does not grow with the simulated duration.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .. import obs
 from ..apps.mapping import (
@@ -54,6 +80,10 @@ SPIN_DM_RATE = 1.0 / 3.0
 #: (merged) memory modification of a sync point; SLEEPs never write
 #: and same-cycle batches collapse into single writes.
 SYNC_WRITE_FRACTION = 0.5
+
+#: Ticks replayed per block.  Scratch arrays are ``cores x BLOCK_TICKS``
+#: wide, so the replay's memory does not grow with ``duration_s``.
+BLOCK_TICKS = 512
 
 
 class Mode(enum.Enum):
@@ -168,21 +198,223 @@ class SimulationResult:
 
 @dataclass
 class _CoreState:
-    """Work-queue state of one simulated core."""
+    """Static work description of one simulated core."""
 
     phase_name: str
     streaming_cycles: float  # enqueued every sample
     streaming_sync: float
     dm_rate: float
-    queue: float = 0.0
-    executed: float = 0.0
-    spin: float = 0.0
-    dm_accesses: float = 0.0
-    sync_ops: float = 0.0
-    executed_this_tick: float = 0.0
     group: str | None = None  # lock-step group (phase name)
     shared_read_fraction: float = 0.0
     alignment: float = 0.0
+
+    @property
+    def load(self) -> float:
+        """Cycles enqueued on every tick."""
+        return self.streaming_cycles + self.streaming_sync
+
+
+def _chain(totals: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``totals[j] + terms[0, j] + terms[1, j] + ...``, top to bottom.
+
+    ``np.add.accumulate`` adds strictly in sequence, so every column
+    gets the rounding of a scalar ``+=`` loop (``np.sum`` pairs terms
+    up and ``n * x`` rounds once, so neither would).
+    """
+    return np.add.accumulate(
+        np.concatenate((totals[None, :], terms)), axis=0)[-1]
+
+
+def _replay_core(queue: float, load: float, capacity: float,
+                 steady: bool, arrivals: list[tuple[int, int]],
+                 work: list[float], ticks: int
+                 ) -> tuple[float, list[int], list[float], float]:
+    """Step one core's queue through a block of ``ticks`` ticks.
+
+    Ticks on which the queue is empty, no beat arrives and the core
+    can absorb its load (``steady``) execute exactly ``load`` and leave
+    the queue at ``0.0``; they are skipped.  Every other tick runs the
+    scalar queue recurrence.
+
+    Args:
+        queue: queued cycles carried in from the previous block.
+        load: cycles enqueued on every tick.
+        capacity: cycles a tick can execute.
+        steady: ``load <= capacity``.
+        arrivals: ``(tick, beats)`` of this block, block-relative and
+            ascending (empty when no arrival feeds this core).
+        work: cycles one beat enqueues, per feeding phase in order.
+        ticks: block length.
+
+    Returns:
+        ``(queue, stepped ticks, cycles executed on each, peak queue)``.
+    """
+    stepped: list[int] = []
+    executed: list[float] = []
+    peak = 0.0
+    pending = 0
+    tick = 0
+    while tick < ticks:
+        if queue == 0.0 and steady:
+            if pending == len(arrivals):
+                break
+            tick = arrivals[pending][0]
+        if pending < len(arrivals) and arrivals[pending][0] == tick:
+            beats = arrivals[pending][1]
+            pending += 1
+            for cycles in work:
+                queue += cycles * beats
+        queue += load
+        done = capacity if capacity < queue else queue
+        queue -= done
+        stepped.append(tick)
+        executed.append(done)
+        if queue > peak:
+            peak = queue
+        tick += 1
+    return queue, stepped, executed, peak
+
+
+def _merge_terms(executed: list[float], members: list[_CoreState]
+                 ) -> tuple[float, float]:
+    """One tick's broadcast-merged (IM, DM) accesses of a lock-step group.
+
+    ``(0.0, 0.0)`` when fewer than two members execute; adding that to
+    the non-negative running sums changes no bit.
+    """
+    active = [(done, state) for done, state in zip(executed, members)
+              if done > 0]
+    if len(active) < 2:
+        return 0.0, 0.0
+    share = (len(active) - 1) / len(active)
+    fetched = sum(done for done, _ in active)
+    lead = active[0][1]
+    im = lead.alignment * share * fetched
+    dm = (lead.alignment * share * lead.shared_read_fraction
+          * sum(done * state.dm_rate for done, state in active))
+    return im, dm
+
+
+@dataclass
+class _Replay:
+    """Running sums of one replay (per-core lists are in core order)."""
+
+    executed: list[float]
+    spin: list[float]
+    dm_accesses: list[float]
+    sync_ops: list[float]
+    im_merged: float
+    dm_merged: float
+    max_queue: float
+    stepped: int  # core-ticks that ran the scalar recurrence
+
+
+def _replay(cores: list[_CoreState], work: list[list[float]],
+            sync: list[list[float]], arrivals: list[tuple[int, int]],
+            ticks: int, capacity: float, spin: bool) -> _Replay:
+    """Replay every core's work queue over ``ticks`` ticks.
+
+    Args:
+        cores: the simulated cores.
+        work: per core, cycles one beat enqueues, per feeding phase.
+        sync: per core, sync ops one beat adds, aligned with ``work``.
+        arrivals: ``(tick, abnormal beats)`` in ``[0, ticks)``,
+            ascending.
+        ticks: ticks to replay.
+        capacity: cycles a tick can execute.
+        spin: idle capacity busy-waits (``MULTI_CORE_NO_SYNC``).
+    """
+    count = len(cores)
+    load = np.array([state.load for state in cores])
+    steady = [state.load <= capacity for state in cores]
+    dm_rate = np.array([state.dm_rate for state in cores])
+    streaming_sync = np.array([state.streaming_sync for state in cores])
+    # Beat terms padded with zero units to one width: a 0.0 term added
+    # to a non-negative sum changes no bit.
+    width = max(len(units) for units in sync)
+    sync_units = np.zeros((count, width))
+    for index, units in enumerate(sync):
+        sync_units[index, :len(units)] = units
+    groups: dict[str, list[int]] = {}
+    for index, state in enumerate(cores):
+        if state.group is not None:
+            groups.setdefault(state.group, []).append(index)
+    members = [[cores[index] for index in indices]
+               for indices in groups.values()]
+    steady_merge = [_merge_terms([state.load for state in group], group)
+                    for group in members]
+
+    queues = [0.0] * count
+    executed = np.zeros(count)
+    spun = np.zeros(count)
+    dm_accesses = np.zeros(count)
+    sync_ops = np.zeros(count)
+    merged = np.zeros(2)  # IM, DM
+    max_queue = 0.0
+    stepped = 0
+    arrival_ticks = [tick for tick, _ in arrivals]
+    for start in range(0, ticks, BLOCK_TICKS):
+        length = min(BLOCK_TICKS, ticks - start)
+        first = bisect.bisect_left(arrival_ticks, start)
+        last = bisect.bisect_left(arrival_ticks, start + length)
+        block_arrivals = [(tick - start, number)
+                          for tick, number in arrivals[first:last]]
+        beats = np.zeros(length)
+        for tick, number in block_arrivals:
+            beats[tick] = number
+
+        # Cycles each core executes per tick: ``load`` unless stepped.
+        done = np.repeat(load[None, :], length, axis=0)
+        for index in range(count):
+            queue, at, values, peak = _replay_core(
+                queues[index], cores[index].load, capacity,
+                steady[index], block_arrivals if work[index] else [],
+                work[index], length)
+            queues[index] = queue
+            if at:
+                done[at, index] = values
+                stepped += len(at)
+                if peak > max_queue:
+                    max_queue = peak
+
+        # Per-tick terms of each running sum, tick-major in the scalar
+        # loop's order.
+        executed = _chain(executed, done)
+        accesses = done * dm_rate
+        if spin:
+            idle = capacity - done
+            spun = _chain(spun, idle)
+            accesses = np.stack((accesses, idle * SPIN_DM_RATE), axis=1)
+        dm_accesses = _chain(dm_accesses, accesses.reshape(-1, count))
+        ops = np.empty((length, width + 1, count))
+        ops[:, :width] = beats[:, None, None] * sync_units.T[None]
+        ops[:, width] = streaming_sync
+        sync_ops = _chain(sync_ops, ops.reshape(-1, count))
+
+        # Merged accesses, tick-major then group order.  A tick on which
+        # every member executed its load repeats the steady term.
+        terms = np.empty((length, len(members), 2))
+        for column, indices in enumerate(groups.values()):
+            terms[:, column] = steady_merge[column]
+            rows = done[:, indices]
+            odd = np.flatnonzero((rows != load[indices]).any(axis=1))
+            memo: dict[tuple[float, ...], tuple[float, float]] = {}
+            found = []
+            for values in rows[odd].tolist():
+                key = tuple(values)
+                term = memo.get(key)
+                if term is None:
+                    term = memo[key] = _merge_terms(values, members[column])
+                found.append(term)
+            if found:
+                terms[odd, column] = found
+        merged = _chain(merged, terms.reshape(-1, 2))
+
+    return _Replay(
+        executed=executed.tolist(), spin=spun.tolist(),
+        dm_accesses=dm_accesses.tolist(), sync_ops=sync_ops.tolist(),
+        im_merged=float(merged[0]), dm_merged=float(merged[1]),
+        max_queue=max_queue, stepped=stepped)
 
 
 def _required_clock_mhz(app: AppSpec, mode: Mode,
@@ -287,7 +519,7 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
                 triggered_cores.setdefault(phase.name, []).append(0)
 
     # ------------------------------------------------------------------
-    # Tick loop at sample granularity.
+    # Replay the work queues at sample granularity.
     # ------------------------------------------------------------------
     fs = app.fs
     ticks = int(round(duration_s * fs))
@@ -305,66 +537,40 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
     if abnormal_beats:
         obs.add("engine.beats.abnormal", abnormal_beats)
 
-    groups: dict[str, list[_CoreState]] = {}
-    for state in cores:
-        if state.group is not None:
-            groups.setdefault(state.group, []).append(state)
-
-    im_merged = 0.0
-    dm_merged = 0.0
-    max_queue = 0.0
     triggered_sync = {
         phase.name: (phase.sync_ops_per_sample if with_sync else 0.0)
         for phase in app.phases
     }
-    for tick in range(ticks):
-        arrivals = beats_by_tick.get(tick, 0)
-        if arrivals:
-            for phase in app.phases:
-                if phase.trigger is not Trigger.ON_ABNORMAL:
-                    continue
-                work = (phase.cycles_per_sample
-                        + triggered_sync[phase.name]) \
-                    * app.beat_span_samples * arrivals
-                for core_index in triggered_cores.get(phase.name, []):
-                    state = cores[core_index]
-                    state.queue += work
-                    state.sync_ops += (triggered_sync[phase.name]
-                                       * app.beat_span_samples * arrivals)
-        for state in cores:
-            state.queue += state.streaming_cycles + state.streaming_sync
-            state.sync_ops += state.streaming_sync
-            executed = min(state.queue, capacity)
-            state.queue -= executed
-            state.executed += executed
-            state.executed_this_tick = executed
-            state.dm_accesses += executed * state.dm_rate
-            if mode is Mode.MULTI_CORE_NO_SYNC:
-                spin = capacity - executed
-                state.spin += spin
-                state.dm_accesses += spin * SPIN_DM_RATE
-            max_queue = max(max_queue, state.queue)
-        for members in groups.values():
-            active = [m for m in members if m.executed_this_tick > 0]
-            if len(active) < 2:
-                continue
-            share = (len(active) - 1) / len(active)
-            fetched = sum(m.executed_this_tick for m in active)
-            alignment = active[0].alignment
-            im_merged += alignment * share * fetched
-            dm_merged += (alignment * share
-                          * active[0].shared_read_fraction
-                          * sum(m.executed_this_tick * m.dm_rate
-                                for m in active))
+    # What one beat enqueues on each core, in the phase order of the
+    # arrival stage (a single core hosts every triggered phase).
+    work: list[list[float]] = [[] for _ in cores]
+    sync: list[list[float]] = [[] for _ in cores]
+    for phase in app.phases:
+        if phase.trigger is not Trigger.ON_ABNORMAL:
+            continue
+        for core_index in triggered_cores.get(phase.name, []):
+            work[core_index].append(
+                (phase.cycles_per_sample + triggered_sync[phase.name])
+                * app.beat_span_samples)
+            sync[core_index].append(
+                triggered_sync[phase.name] * app.beat_span_samples)
+
+    replay = _replay(cores, work, sync, sorted(beats_by_tick.items()),
+                     ticks, capacity,
+                     spin=mode is Mode.MULTI_CORE_NO_SYNC)
+    if replay.stepped:
+        obs.add("engine.ticks.stepped", replay.stepped)
+    im_merged = replay.im_merged
+    dm_merged = replay.dm_merged
 
     # ------------------------------------------------------------------
     # Aggregate.
     # ------------------------------------------------------------------
-    total_executed = sum(state.executed for state in cores)
-    total_spin = sum(state.spin for state in cores)
+    total_executed = sum(replay.executed)
+    total_spin = sum(replay.spin)
     total_fetch = total_executed + total_spin
-    total_dm = sum(state.dm_accesses for state in cores)
-    total_sync = sum(state.sync_ops for state in cores) if with_sync else 0.0
+    total_dm = sum(replay.dm_accesses)
+    total_sync = sum(replay.sync_ops) if with_sync else 0.0
     sync_writes = total_sync * SYNC_WRITE_FRACTION
     wall_cycles = ticks * capacity
 
@@ -393,6 +599,6 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
         dm_broadcast_fraction=dm_merged / total_dm if total_dm else 0.0,
         runtime_overhead=total_sync / total_executed
         if total_executed else 0.0,
-        max_latency_s=max_queue / point.cycles_per_second,
+        max_latency_s=replay.max_queue / point.cycles_per_second,
         duration_s=duration_s,
     )
