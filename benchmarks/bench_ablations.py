@@ -2,53 +2,8 @@
 
 Run with::
 
-    pytest benchmarks/bench_ablations.py --benchmark-only
     python benchmarks/bench_ablations.py  # emit BENCH_ablations.json
 """
-
-from conftest import BENCH_DURATION_S
-from repro.eval import (
-    ablate_broadcast,
-    ablate_lockstep_recovery,
-    ablate_sleep,
-    ablate_vfs,
-    render_ablations,
-    run_all_ablations,
-)
-
-
-def test_ablation_broadcast(benchmark):
-    """ABL-1: instruction broadcasting matters on 3L-MF."""
-    result = benchmark(ablate_broadcast, BENCH_DURATION_S)
-    assert result.penalty_fraction > 0.15
-
-
-def test_ablation_vfs(benchmark):
-    """ABL-2: voltage scaling is the zero-pathology gain of Fig. 7."""
-    result = benchmark(ablate_vfs, BENCH_DURATION_S)
-    assert result.penalty_fraction > 0.3
-
-
-def test_ablation_sleep(benchmark):
-    """ABL-3: clock-gating vs. active waiting, all benchmarks."""
-    results = benchmark(ablate_sleep, BENCH_DURATION_S)
-    assert len(results) == 3
-    for result in results:
-        assert result.penalty_fraction > 0.3
-
-
-def test_ablation_lockstep(benchmark):
-    """ABL-4: lock-step recovery drives the broadcast dividend."""
-    result = benchmark(ablate_lockstep_recovery, BENCH_DURATION_S)
-    assert result.penalty_fraction > 0.15
-
-
-def test_all_ablations(benchmark):
-    results = benchmark(run_all_ablations, BENCH_DURATION_S)
-    report = render_ablations(results)
-    assert "ABL-4" in report
-    print()
-    print(report)
 
 
 def main(argv=None) -> int:

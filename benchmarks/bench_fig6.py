@@ -2,42 +2,8 @@
 
 Run with::
 
-    pytest benchmarks/bench_fig6.py --benchmark-only
     python benchmarks/bench_fig6.py       # emit BENCH_fig6.json
 """
-
-import pytest
-
-from conftest import BENCH_DURATION_S
-from repro.eval import render_fig6, run_fig6, run_group
-from repro.eval.runconfig import benchmark_cases
-
-
-@pytest.mark.parametrize("index, name",
-                         [(0, "3L-MF"), (1, "3L-MMD"), (2, "RP-CLASS")])
-def test_fig6_group(benchmark, index, name):
-    """Time one benchmark's three bars; check the paper's verdict."""
-    case = benchmark_cases(BENCH_DURATION_S)[index]
-    group = benchmark(run_group, case, BENCH_DURATION_S)
-    # Sec. V-B: without sync the MC is lower/comparable/higher than SC.
-    verdicts = {"3L-MF": -1, "3L-MMD": 0, "RP-CLASS": +1}
-    delta = group.no_sync_vs_single
-    if verdicts[name] < 0:
-        assert delta < -0.02
-    elif verdicts[name] > 0:
-        assert delta > 0.02
-    else:
-        assert abs(delta) < 0.05
-    assert group.multi_sync.total_uw < group.single.total_uw
-
-
-def test_fig6_full(benchmark):
-    """Time the full Figure 6 regeneration and print it."""
-    groups = benchmark(run_fig6, BENCH_DURATION_S)
-    report = render_fig6(groups)
-    assert "instr_mem" in report
-    print()
-    print(report)
 
 
 def main(argv=None) -> int:

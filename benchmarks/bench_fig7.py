@@ -2,44 +2,8 @@
 
 Run with::
 
-    pytest benchmarks/bench_fig7.py --benchmark-only
     python benchmarks/bench_fig7.py       # emit BENCH_fig7.json
 """
-
-import pytest
-
-from conftest import BENCH_DURATION_S
-from repro.eval import FIG7_RATIOS, render_fig7, run_fig7
-from repro.sysc.engine import Mode, simulate
-from repro.eval.runconfig import rp_case
-
-
-@pytest.mark.parametrize("ratio", [0.0, 0.2, 1.0])
-def test_fig7_point(benchmark, ratio):
-    """Time one sweep point (both systems) and check who wins."""
-    case = rp_case(ratio, BENCH_DURATION_S)
-
-    def run_point():
-        single = simulate(case.app, Mode.SINGLE_CORE, case.schedule,
-                          duration_s=BENCH_DURATION_S)
-        multi = simulate(case.app, Mode.MULTI_CORE, case.schedule,
-                         duration_s=BENCH_DURATION_S)
-        return single, multi
-
-    single, multi = benchmark(run_point)
-    assert multi.power.total_uw < single.power.total_uw
-
-
-def test_fig7_full_sweep(benchmark):
-    """Time the full sweep; check the reduction's shape and print it."""
-    points = benchmark(run_fig7, FIG7_RATIOS, BENCH_DURATION_S)
-    reductions = [point.reduction for point in points]
-    sc_powers = [point.sc_power_uw for point in points]
-    assert all(a < b for a, b in zip(sc_powers, sc_powers[1:]))
-    assert max(reductions) > 0.35  # paper: "up to 38 %"
-    assert reductions[-1] > reductions[0]
-    print()
-    print(render_fig7(points))
 
 
 def main(argv=None) -> int:

@@ -30,7 +30,6 @@ floor: the analytic tier must never be slower than exact (measured
 
 Run with::
 
-    pytest benchmarks/bench_fleet.py --benchmark-only
     python benchmarks/bench_fleet.py      # emit BENCH_fleet.json
                                           # and BENCH_fleet-gen.json
     python benchmarks/bench_fleet.py --mega   # BENCH_fleet-mega.json
@@ -44,82 +43,21 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
+from repro.net import appsource
+from repro.net.compute import COMPUTE_CACHE_ENV, clear_process_caches
+from repro.net.fleet import run_fleet
+from repro.net.streaming import run_streaming
+from repro.sweep import BENCH_SCHEMA
+from repro.sweep.specs import BENCH_DURATION_S
+from repro.sysc.engine import cached_uniform_schedule
 
-sys.path.insert(0, os.path.dirname(__file__))  # plain-script runs
-from conftest import BENCH_DURATION_S  # noqa: E402
-
-from repro.net import appsource  # noqa: E402
-from repro.net.compute import (  # noqa: E402
-    COMPUTE_CACHE_ENV,
-    clear_process_caches,
-)
-from repro.net.fleet import run_fleet  # noqa: E402
-from repro.net.streaming import run_streaming  # noqa: E402
-from repro.sweep import BENCH_SCHEMA  # noqa: E402
-from repro.sysc.engine import cached_uniform_schedule  # noqa: E402
-
-#: Fleet size of the throughput benchmark.
-BENCH_NODES = 64
-
-#: Simulated seconds per node (shorter than the single-node benches:
-#: the fleet multiplies per-node work by BENCH_NODES).
+#: Simulated seconds per node of the fast-path benchmark (shorter than
+#: the single-node benches: the fleet multiplies per-node work).
 FLEET_DURATION_S = min(BENCH_DURATION_S, 10.0)
-
-
-def _run(workers: int, nodes: int = BENCH_NODES):
-    return run_fleet("drifting-wearables", n_nodes=nodes,
-                     duration_s=FLEET_DURATION_S, seed=1,
-                     workers=workers)
-
 
 #: Scenario token of the heterogeneous-fleet benchmark: generated
 #: suite, load-levelled placement, drifting-wearables surroundings.
 GEN_SCENARIO = "gen:drifting-wearables:1:8:balanced"
-
-#: Fleet size of the heterogeneous benchmark (binding resolution is
-#: memoised per process, so this mostly times the simulations).
-GEN_NODES = 24
-
-
-def _run_generated(workers: int, nodes: int = GEN_NODES):
-    return run_fleet(GEN_SCENARIO, n_nodes=nodes,
-                     duration_s=FLEET_DURATION_S, seed=1,
-                     workers=workers)
-
-
-def test_fleet_serial_throughput(benchmark):
-    """Time the serial fleet and report nodes/second."""
-    result = benchmark(_run, 1)
-    assert result.summary.n_nodes == BENCH_NODES
-    assert result.nodes_per_second > 0
-    print(f"\nserial: {result.nodes_per_second:.1f} nodes/s")
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_fleet_parallel_throughput(benchmark, workers):
-    """Time the sharded multiprocessing fleet."""
-    result = benchmark(_run, workers)
-    assert result.mode == "parallel"
-    assert result.summary == _run(1).summary  # determinism while timing
-    print(f"\n{workers} workers: {result.nodes_per_second:.1f} nodes/s")
-
-
-def test_fleet_generated_throughput(benchmark):
-    """Time the heterogeneous generated-app fleet (serial)."""
-    result = benchmark(_run_generated, 1)
-    assert result.summary.n_nodes == GEN_NODES
-    assert result.summary.source == "generated-suite"
-    assert len(result.summary.families) > 1
-    print(f"\ngenerated: {result.nodes_per_second:.1f} nodes/s")
-
-
-def test_fleet_generated_parallel_matches_serial(benchmark):
-    """Time the sharded heterogeneous fleet; pin determinism."""
-    result = benchmark(_run_generated, 4)
-    assert result.mode == "parallel"
-    assert result.summary == _run_generated(1).summary
-    print(f"\ngenerated x4: {result.nodes_per_second:.1f} nodes/s")
 
 
 #: Hierarchy preset of the mega benchmark (~100k nodes, two tiers).

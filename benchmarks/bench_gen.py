@@ -1,40 +1,15 @@
 """EXP-GEN benchmark: generated-workload exploration throughput.
 
-Times the synthetic-workload pipeline end to end: suite generation
-(topology draw + characterisation-anchored sampling) and one
-(app, policy) exploration point through the behavioural simulator.
-The plain-script mode replays the ``gen`` campaign through the sweep
+Replays the ``gen`` campaign — suite generation (topology draw +
+characterisation-anchored sampling) and (app, policy) exploration
+points through the behavioural simulator — through the sweep
 subsystem and emits ``BENCH_gen.json`` in the ``repro-bench/1``
 schema the CI regression gate tracks.
 
 Run with::
 
-    pytest benchmarks/bench_gen.py --benchmark-only
     python benchmarks/bench_gen.py        # emit BENCH_gen.json
 """
-
-from repro.gen import evaluate_token, generate_suite, suite_tokens
-
-#: Suite size of the generation throughput benchmark.
-BENCH_SUITE = 25
-
-#: Seed of the benchmark suite (any value works; fixed for stability).
-BENCH_SEED = 2014
-
-
-def test_generate_suite_throughput(benchmark):
-    """Time generating a balanced suite across all families."""
-    apps = benchmark(generate_suite, BENCH_SEED, BENCH_SUITE)
-    assert len(apps) == BENCH_SUITE
-    assert all(app.phases for app in apps)
-
-
-def test_explore_point_throughput(benchmark):
-    """Time one exploration point (regeneration + mapping + sim)."""
-    token = suite_tokens(BENCH_SEED, 1)[0]
-    record = benchmark(evaluate_token, token, "balanced", 8, 5.0)
-    assert record.status in ("ok", "repaired")
-    assert record.power_uw > 0
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,6 @@ oracle-specific extras.
 
 Run with::
 
-    pytest benchmarks/bench_oracle.py --benchmark-only
     python benchmarks/bench_oracle.py     # emit BENCH_oracle.json
 """
 
@@ -52,26 +51,6 @@ def _bench_app():
     """The benchmark workload: 3L-MMD repaired onto 8 cores."""
     app, _ = repair_app(three_lead_mmd(), 8)
     return app
-
-
-def test_analytic_population_throughput(benchmark):
-    """Time one vectorised scoring call over the full population."""
-    app = _bench_app()
-    candidates = sample_candidates(app, samples=POPULATION, seed=1)
-    model = AnalyticModel(app, kind="power",
-                          duration_s=BENCH_DURATION_S)
-    scores = benchmark(model.score, candidates)
-    assert len(scores) == len(candidates)
-
-
-def test_exact_oracle_throughput(benchmark):
-    """Time one exact evaluation (full behavioural simulation)."""
-    app = _bench_app()
-    candidate = sample_candidates(app, samples=1, seed=1)[0]
-    oracle = get_oracle("power", BENCH_DURATION_S)
-    plan = plan_from_candidate(app, candidate)
-    cost, _ = benchmark(oracle.evaluate, app, plan, 8)
-    assert cost > 0
 
 
 def measure() -> dict:

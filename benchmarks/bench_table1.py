@@ -2,39 +2,8 @@
 
 Run with::
 
-    pytest benchmarks/bench_table1.py --benchmark-only
     python benchmarks/bench_table1.py     # emit BENCH_table1.json
 """
-
-import pytest
-
-from conftest import BENCH_DURATION_S
-from repro.eval import PAPER_TABLE1, render_table1, run_case, run_table1
-from repro.eval.runconfig import benchmark_cases
-
-
-@pytest.mark.parametrize("index, name",
-                         [(0, "3L-MF"), (1, "3L-MMD"), (2, "RP-CLASS")])
-def test_table1_column(benchmark, index, name):
-    """Time one benchmark's SC+MC column and check its headline rows."""
-    case = benchmark_cases(BENCH_DURATION_S)[index]
-    column = benchmark(run_case, case, BENCH_DURATION_S)
-    paper = PAPER_TABLE1[name]
-    values = column.as_dict()
-    assert values["mc_clock"] == paper["mc_clock"]
-    assert values["mc_voltage"] == paper["mc_voltage"]
-    assert values["saving"] == pytest.approx(paper["saving"], abs=0.05)
-    assert values["im_broadcast"] == pytest.approx(paper["im_broadcast"],
-                                                   abs=0.02)
-
-
-def test_table1_full(benchmark):
-    """Time the full Table I regeneration and print it."""
-    columns = benchmark(run_table1, BENCH_DURATION_S)
-    report = render_table1(columns)
-    assert "Saving" in report
-    print()
-    print(report)
 
 
 def main(argv=None) -> int:

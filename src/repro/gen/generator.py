@@ -21,7 +21,6 @@ the determinism tests pin.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 
 from ..apps.phases import (
@@ -31,6 +30,7 @@ from ..apps.phases import (
     SectionSpec,
     Trigger,
 )
+from ..store import digest
 from . import distributions as dist
 from .topology import (
     FAMILY_ORDER,
@@ -404,6 +404,4 @@ def app_from_mapping(data: dict) -> AppSpec:
 
 def app_fingerprint(app: AppSpec) -> str:
     """Stable content hash of an application's canonical form."""
-    canonical = json.dumps(app_to_mapping(app), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return digest(app_to_mapping(app), 16)

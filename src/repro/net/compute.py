@@ -11,14 +11,14 @@ simulator reduces to the beat schedule's *abnormal* events.
 
 This module resolves that shared part through three tiers:
 
-1. **ComputeCache** — a process-local memo plus an optional
-   content-addressed disk layer (same layout and code-fingerprint
-   namespacing rules as :mod:`repro.sweep.cache`), keyed by
-   ``(app fingerprint, plan hash, mode, num_cores, duration_s,
-   schedule signature)``.  The memo holds every entry; the disk
-   holds only exact entries and calibration blocks, because
-   re-scoring an analytic entry is cheaper than writing its file.
-   In ``exact`` mode a cached entry of any other tier is a miss.
+1. **ComputeCache** — a process-local memo plus an optional disk
+   layer, a :class:`repro.store.Store`, keyed by ``(app fingerprint,
+   plan hash, mode, num_cores, duration_s, schedule signature)``.
+   The memo holds every entry; the disk holds only exact entries and
+   calibration blocks, because re-scoring an analytic entry is
+   cheaper than writing its file.  A cached entry is served only at
+   the tier this run gives its key, so a run's result never depends
+   on what ran before it.
 2. **Batched analytic tier** — all distinct uncached multi-core keys
    in a fleet/wave are grouped per application (across beat
    schedules: each row of the batch carries its own schedule) and
@@ -42,7 +42,6 @@ worker counts and resume points.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -54,6 +53,7 @@ from ..apps.mapping import MappingPlan, map_multicore
 from ..apps.phases import AppSpec
 from ..power.energy import PowerReport
 from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ, OperatingPoint
+from ..store import Store, digest
 from ..sysc.engine import BeatEvent, Mode, simulate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -296,16 +296,14 @@ def app_plan_key(
         plan_key = candidate_from_plan(plan).key()
     else:
         plan_key = "single-core"
-    blob = json.dumps(
+    return digest(
         {
             "app": app_fingerprint(app),
             "num_cores": num_cores,
             "plan": plan_key,
         },
-        sort_keys=True,
-        separators=(",", ":"),
+        16,
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def compute_key(
@@ -316,7 +314,7 @@ def compute_key(
     floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ,
 ) -> str:
     """Content-addressed cache key of one compute unit."""
-    blob = json.dumps(
+    return digest(
         {
             "app": app_key,
             "duration_s": duration_s,
@@ -325,10 +323,8 @@ def compute_key(
             "schedule": signature,
             "schema": COMPUTE_ENTRY_SCHEMA,
         },
-        sort_keys=True,
-        separators=(",", ":"),
+        40,
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:40]
 
 
 def build_request(
@@ -393,97 +389,64 @@ def report_from_payload(payload: dict) -> PowerReport:
     )
 
 
-#: Process-wide memo layers (cache-root independent: payloads are
-#: pure functions of their content-addressed keys).
+#: Process-wide memo of entries and calibration blocks (cache-root
+#: independent: payloads are pure functions of their keys).
 _MEMO: dict[str, dict] = {}
-_CALIBRATION_MEMO: dict[str, dict] = {}
 
 
 def clear_process_caches() -> None:
-    """Drop the process-local memo layers (test isolation hook)."""
+    """Drop the process-local memo (test isolation hook)."""
     _MEMO.clear()
-    _CALIBRATION_MEMO.clear()
 
 
 class ComputeCache:
-    """Process memo + optional content-addressed disk layer.
+    """Process memo + optional on-disk :class:`repro.store.Store`.
 
-    The disk layout mirrors :class:`repro.sweep.cache.ResultCache`:
-    ``<root>/<code fingerprint>/<key[:2]>/<key>.json``, atomic
-    writes, and corrupt or foreign files read as misses.  The cache
-    is deliberately silent in metrics — physical hit patterns depend
-    on prior runs, so only the resolver's logical counters surface.
+    The cache is deliberately silent in metrics — physical hit
+    patterns depend on prior runs, so only the resolver's logical
+    counters surface.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
         if root is None:
             root = os.environ.get(COMPUTE_CACHE_ENV) or None
         self.root = Path(root) if root is not None else None
-        self._fingerprint: str | None = None
+        self.store = Store(self.root) if self.root is not None else None
 
-    @property
-    def fingerprint(self) -> str:
-        """Code fingerprint namespacing the disk layer (lazy)."""
-        if self._fingerprint is None:
-            from ..sweep.cache import code_fingerprint
+    def get(self, key: str, tier: str) -> dict | None:
+        """The entry of ``key`` if it was made at ``tier``, else None.
 
-            self._fingerprint = code_fingerprint()
-        return self._fingerprint
-
-    def _path(self, key: str) -> Path:
-        assert self.root is not None
-        return self.root / self.fingerprint / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> dict | None:
-        """Look up one entry (memo first, then disk)."""
+        Analytic entries never reach disk, so only the memo can
+        hold one.
+        """
         payload = _MEMO.get(key)
-        if payload is not None:
-            return payload
-        if self.root is None:
-            return None
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
         if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != COMPUTE_ENTRY_SCHEMA
-            or not isinstance(payload.get("categories"), dict)
+            payload is None
+            and self.store is not None
+            and tier != ANALYTIC_TIER
         ):
+            field = "errors" if tier == _CALIBRATION_TIER else "categories"
+            payload = self.store.get(key, COMPUTE_ENTRY_SCHEMA, field)
+            if payload is not None:
+                _MEMO[key] = payload
+        if payload is None or payload.get("tier") != tier:
             return None
-        _MEMO[key] = payload
         return payload
 
     def put(self, key: str, payload: dict) -> None:
-        """Store one entry: memo always, disk only for exact ones.
+        """Store one entry: memo always, disk unless it is analytic.
 
-        Analytic entries stay off disk: re-scoring one in a batch
-        costs far less than writing its file, and gives the same
-        bytes.
+        Re-scoring an analytic entry in a batch costs far less than
+        writing its file, and gives the same bytes.  A failed disk
+        write is dropped: the disk layer is an optimisation.
         """
         _MEMO[key] = payload
-        if payload["tier"] == EXACT_TIER:
-            self.write(key, payload)
-
-    def write(self, key: str, payload: dict) -> None:
-        """Atomically write one payload to disk, when configured.
-
-        A failed write is dropped: the disk layer is an optimisation.
-        """
-        if self.root is None:
+        if self.store is None or payload["tier"] == ANALYTIC_TIER:
             return
-        path = self._path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".{os.getpid()}.tmp")
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, path)
+            self.store.put(key, payload)
         except OSError:
-            return
+            pass
 
 
 class ComputeResolver:
@@ -517,10 +480,9 @@ class ComputeResolver:
                 fingerprints[app_key] = app_fingerprint(request.binding.app)
             return fingerprints[app_key]
 
-        exact_only = self.settings.mode == "exact"
         calibration: dict | None = None
         screen = False
-        if not exact_only:
+        if self.settings.mode != "exact":
             calibration = self._calibration(unique.values(), fingerprint)
             screen = bool(calibration["within"])
 
@@ -529,19 +491,18 @@ class ComputeResolver:
         groups: dict[str, list[tuple[ComputeRequest, object]]] = {}
         for key in sorted(unique):
             request = unique[key]
-            payload = self.cache.get(key)
-            # Exact mode never serves another tier's payload: a stale
-            # analytic entry in the memo is a miss and gets replaced.
-            if payload is not None and (
-                not exact_only or payload["tier"] == EXACT_TIER
-            ):
-                table[key] = ResolvedCompute(
-                    key=key, tier=str(payload["tier"]), payload=payload
-                )
-                continue
             candidate = None
             if screen and request.mode is Mode.MULTI_CORE:
                 candidate = self._candidate(request)
+            # Served only at the tier this run gives the key: another
+            # tier's entry is a miss and gets replaced.
+            tier = EXACT_TIER if candidate is None else ANALYTIC_TIER
+            payload = self.cache.get(key, tier)
+            if payload is not None:
+                table[key] = ResolvedCompute(
+                    key=key, tier=tier, payload=payload
+                )
+                continue
             if candidate is None:
                 exact_queue.append(request)
             else:
@@ -738,34 +699,18 @@ class ComputeResolver:
         num_cores: int,
     ) -> dict:
         """Calibrate one platform-width group (memoised)."""
-        key = hashlib.sha256(
-            json.dumps(
-                {
-                    "apps": fingerprints,
-                    "duration_s": CALIBRATE_DURATION_S,
-                    "kind": _CALIBRATION_TIER,
-                    "num_cores": num_cores,
-                    "samples": CALIBRATE_SAMPLES,
-                    "schema": COMPUTE_ENTRY_SCHEMA,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-        ).hexdigest()[:40]
-        payload = _CALIBRATION_MEMO.get(key)
-        if payload is None and self.cache.root is not None:
-            path = self.cache._path(key)
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    loaded = json.load(handle)
-            except (OSError, ValueError):
-                loaded = None
-            if (
-                isinstance(loaded, dict)
-                and loaded.get("schema") == COMPUTE_ENTRY_SCHEMA
-                and isinstance(loaded.get("errors"), dict)
-            ):
-                payload = loaded
+        key = digest(
+            {
+                "apps": fingerprints,
+                "duration_s": CALIBRATE_DURATION_S,
+                "kind": _CALIBRATION_TIER,
+                "num_cores": num_cores,
+                "samples": CALIBRATE_SAMPLES,
+                "schema": COMPUTE_ENTRY_SCHEMA,
+            },
+            40,
+        )
+        payload = self.cache.get(key, _CALIBRATION_TIER)
         if payload is None:
             from ..oracle.calibrate import calibrate, calibration_payload
 
@@ -781,14 +726,12 @@ class ComputeResolver:
             payload = calibration_payload(report)
             payload["schema"] = COMPUTE_ENTRY_SCHEMA
             payload["tier"] = _CALIBRATION_TIER
-            self.cache.write(key, payload)
-        _CALIBRATION_MEMO[key] = payload
-        block = {
+            self.cache.put(key, payload)
+        return {
             k: v
             for k, v in payload.items()
             if k not in ("schema", "tier")
         }
-        return block
 
 
 def record_compute_counters(summary: ComputeSummary) -> None:

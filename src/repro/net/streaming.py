@@ -21,8 +21,9 @@ content-addressed state file (the file name hashes the run identity:
 schema, spec token, seed, duration).  A later run with the same
 identity resumes from the recorded subtree index and — because the
 fold sequence is the same one a cold run performs — produces a
-byte-identical artifact.  Stale or corrupt state files are ignored,
-never trusted.
+byte-identical artifact.  State files go through :mod:`repro.store`:
+stale or corrupt ones are ignored, never trusted, and a failed write
+(a full disk, say) raises and leaves the previous one intact.
 
 When metrics collection is active (:mod:`repro.obs`), the checkpoint
 additionally persists the *counter delta* this run accumulated past
@@ -37,13 +38,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .. import obs
 from ..parallel import pool_map
+from ..store import read_json, write_atomic
 from .compute import (
     ComputeResolver,
     ComputeSettings,
@@ -418,8 +419,8 @@ class StreamingRunner:
         delta (``None`` for checkpoints written without collection —
         the optional ``obs`` key keeps old state files loadable).
         """
+        doc = read_json(path)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
             if doc["identity"] != self._identity(token):
                 return None
             tiers = doc["tiers"]
@@ -430,7 +431,7 @@ class StreamingRunner:
             saved_obs = doc.get("obs")
             if saved_obs is not None and not isinstance(saved_obs, dict):
                 return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):
             return None
         if not 0 <= done <= self.config.spec.subtrees:
             return None
@@ -444,7 +445,7 @@ class StreamingRunner:
         state: list[_TierState],
         obs_delta: dict | None = None,
     ) -> None:
-        """Atomically persist the partial merge (tmp + rename)."""
+        """Atomically persist the partial merge."""
         doc = {
             "identity": self._identity(token),
             "subtrees_done": done,
@@ -452,11 +453,7 @@ class StreamingRunner:
         }
         if obs_delta is not None:
             doc["obs"] = obs_delta
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     def run(
         self, workers: int = 1, max_waves: int | None = None

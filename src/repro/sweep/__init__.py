@@ -10,6 +10,7 @@ turns results into the ``BENCH_<name>.json`` schema the CI regression
 gate tracks.
 """
 
+from ..store import code_fingerprint
 from .artifacts import (
     BENCH_SCHEMA,
     bench_payload,
@@ -20,7 +21,7 @@ from .artifacts import (
     write_csv,
 )
 from .bench import bench_main, run_all_benches, run_bench
-from .cache import ResultCache, code_fingerprint, default_cache_dir
+from .cache import ResultCache, default_cache_dir
 from .engine import PointResult, SweepResult, run_sweep
 from .runners import HEADLINE_METRICS, RUNNERS, RunnerError, get_runner
 from .spec import (

@@ -4,33 +4,24 @@ A cached entry is addressed by two coordinates:
 
 1. the *point key* — a stable hash of ``(runner, point)`` from
    :func:`repro.sweep.spec.point_key`, and
-2. the *code fingerprint* — a stable hash over every ``repro/*.py``
-   source file, so any change to the simulation code invalidates all
-   prior results without ever serving a stale metric.
+2. the *code fingerprint* — :func:`repro.store.code_fingerprint`, so
+   any change to the simulation code invalidates all prior results
+   without ever serving a stale metric.
 
-Entries live at ``<root>/<fingerprint>/<key[:2]>/<key>.json``; a new
-fingerprint simply opens a fresh namespace (old entries stay behind
-for rollbacks and can be garbage-collected with :meth:`ResultCache.prune`).
-Writes are atomic (temp file + ``os.replace``), so a sweep killed
-mid-write never leaves a corrupt entry, and concurrent workers racing
-on the same point both land a complete file.
-
+The layout, atomic writes, corrupt-is-a-miss reads and
+:meth:`ResultCache.prune` are those of :class:`repro.store.Store`.
 The default cache root honours ``REPRO_SWEEP_CACHE`` and falls back
 to ``~/.cache/repro-sweep``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import shutil
 import time
 from pathlib import Path
 
-import repro
-
 from .. import obs
+from ..store import Store
 from .spec import Value, point_key
 
 #: Environment variable overriding the default cache root.
@@ -48,25 +39,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-sweep"
 
 
-def code_fingerprint(package_root: str | Path | None = None) -> str:
-    """Hash the code-relevant configuration: every repro source file.
-
-    The fingerprint is a SHA-256 over the sorted ``(relative path,
-    content hash)`` pairs of all ``*.py`` files under the ``repro``
-    package, so it is independent of checkout location and file-system
-    walk order.
-    """
-    if package_root is None:
-        package_root = Path(repro.__file__).resolve().parent
-    root = Path(package_root)
-    outer = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        relative = path.relative_to(root).as_posix()
-        outer.update(f"{relative}\x00{digest}\x00".encode("utf-8"))
-    return outer.hexdigest()[:16]
-
-
 class ResultCache:
     """Content-addressed store of per-point sweep results.
 
@@ -82,40 +54,22 @@ class ResultCache:
         root: str | Path | None = None,
         fingerprint: str | None = None,
     ) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.fingerprint = (
-            fingerprint if fingerprint is not None else code_fingerprint()
-        )
+        if root is None:
+            root = default_cache_dir()
+        self.store = Store(root, fingerprint)
 
-    def _path(self, key: str) -> Path:
-        return self.root / self.fingerprint / key[:2] / f"{key}.json"
+    @property
+    def fingerprint(self) -> str:
+        return self.store.fingerprint
 
     def get(self, runner: str, point: dict[str, Value]) -> dict | None:
-        """The stored entry for a point, or ``None`` on a miss.
-
-        Unreadable or schema-mismatched files count as misses (the
-        next :meth:`put` overwrites them).
-        """
-        path = self._path(point_key(runner, point))
-        entry = self._read(path)
+        """The stored entry for a point, or ``None`` on a miss."""
+        key = point_key(runner, point)
+        entry = self.store.get(key, ENTRY_SCHEMA, "metrics")
         if entry is not None:
             obs.add("sweep.cache.hit")
         else:
             obs.add("sweep.cache.miss")
-        return entry
-
-    @staticmethod
-    def _read(path: Path) -> dict | None:
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("schema") != ENTRY_SCHEMA:
-            return None
-        if not isinstance(entry.get("metrics"), dict):
-            return None  # truncated/hand-edited entry: treat as miss
         return entry
 
     def put(
@@ -138,35 +92,13 @@ class ResultCache:
             "wall_s": wall_s,
             "created_unix": time.time(),
         }
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        self.store.put(key, entry)
         return entry
 
     def __len__(self) -> int:
         """Entries stored under the current fingerprint."""
-        namespace = self.root / self.fingerprint
-        if not namespace.is_dir():
-            return 0
-        return sum(1 for _ in namespace.rglob("*.json"))
+        return len(self.store)
 
     def prune(self, keep_current: bool = True) -> int:
-        """Delete stale fingerprint namespaces; return how many.
-
-        Args:
-            keep_current: keep the namespace of this cache's own
-                fingerprint (pass ``False`` to clear everything).
-        """
-        if not self.root.is_dir():
-            return 0
-        removed = 0
-        for child in self.root.iterdir():
-            if not child.is_dir():
-                continue
-            if keep_current and child.name == self.fingerprint:
-                continue
-            shutil.rmtree(child)
-            removed += 1
-        return removed
+        """Delete stale fingerprint namespaces; return how many."""
+        return self.store.prune(keep_current)

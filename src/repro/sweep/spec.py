@@ -24,6 +24,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from ..store import digest
+
 #: JSON scalar types allowed as parameter values.
 Value = None | bool | int | float | str
 
@@ -179,8 +181,9 @@ def canonical_point(runner: str, point: dict[str, Value]) -> str:
 
 def point_key(runner: str, point: dict[str, Value]) -> str:
     """Stable content hash of a run point (cache address)."""
-    digest = hashlib.sha256(canonical_point(runner, point).encode("utf-8"))
-    return digest.hexdigest()[:40]
+    return digest(
+        {"schema": POINT_SCHEMA, "runner": runner, "point": point}, 40
+    )
 
 
 def stable_seed(runner: str, point: dict[str, Value]) -> int:

@@ -16,8 +16,8 @@ from ..eval.runconfig import FIG7_RATIOS
 from ..gen.generator import suite_tokens
 from .spec import SweepSpec, Value
 
-#: Simulated seconds of the benchmark campaigns (mirrors the
-#: pytest-benchmark harness's reduced duration).
+#: Simulated seconds of the benchmark campaigns (reduced: the
+#: reproduced metrics are duration-invariant).
 BENCH_DURATION_S = 15.0
 
 DEMO = SweepSpec(

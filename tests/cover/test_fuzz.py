@@ -29,6 +29,7 @@ def blind():
 
 
 def test_fuzz_is_deterministic(fuzz):
+    assert len(fuzz.attempts) == BUDGET
     again = fuzz_campaign(budget=BUDGET, saturation=BUDGET,
                           duration_s=DURATION)
     assert [a.token for a in again.attempts] == \

@@ -109,6 +109,7 @@ def test_coverage_map_records_hits_and_first_tokens():
     app, record = _pair(token)
     key, fresh = cover.record(app, record, token=token)
     assert fresh
+    assert key.startswith("pipeline/")
     assert cover.hits(key) == 1
     assert cover.first_token(key) == token
     key2, fresh2 = cover.record(app, record, token="pipeline:7:0")

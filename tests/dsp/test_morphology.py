@@ -112,6 +112,7 @@ def test_filter_output_is_integer_typed():
     _, noisy = _clean_and_noisy(duration=4.0)
     filtered = MorphologicalFilter(fs=250.0).process(noisy)
     assert np.issubdtype(filtered.dtype, np.integer)
+    assert len(filtered) == len(noisy)
 
 
 def test_structuring_elements_scale_with_fs():

@@ -208,5 +208,11 @@ def test_ablations_all_mechanisms_matter():
     assert len(results) == 6
     for result in results:
         assert result.penalty_fraction > 0.05, result.name
+    # Per-mechanism floors: broadcast and lock-step recovery, voltage
+    # scaling, and clock gating on each benchmark.
+    floors = {"ABL-1": 0.15, "ABL-2": 0.3, "ABL-3": 0.3, "ABL-4": 0.15}
+    for result in results:
+        assert result.penalty_fraction > floors[result.name], result.name
+    assert [r.name for r in results].count("ABL-3") == 3
     text = render_ablations(results)
-    assert "ABL-1" in text
+    assert "ABL-1" in text and "ABL-4" in text

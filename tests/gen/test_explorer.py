@@ -113,6 +113,8 @@ def test_evaluate_token_matches_evaluate_app():
     direct = evaluate_app(app, "balanced", duration_s=1.0,
                           token=token, family="pipeline")
     assert by_token == direct
+    assert by_token.status in ("ok", "repaired")
+    assert by_token.power_uw > 0
 
 
 def test_policy_rates_standing_metric():

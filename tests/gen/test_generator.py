@@ -160,6 +160,7 @@ def test_mapping_round_trip_preserves_app():
 def test_generate_suite_matches_tokens():
     apps = generate_suite(21, 5)
     tokens = suite_tokens(21, 5)
+    assert all(app.phases for app in apps)
     assert [app.name for app in apps] == \
         [f"G{i:02d}-{parse_app_token(t)[0]}"
          for i, t in enumerate(tokens)]

@@ -229,6 +229,27 @@ def test_broadcast_disabled_halves_nothing():
     assert activity.im_xbar.conflicts > 0
 
 
+_SPIN = """
+main:
+    li r1, 2000
+loop:
+    addi r1, r1, -1
+    bnez r1, loop
+    halt
+"""
+
+
+def test_spin_loop_alone_and_as_eight_replicas():
+    """Eight replicas started together fetch mostly by broadcast."""
+    assert _run_single(_SPIN, max_cycles=20_000).cycle > 4000
+    entries = "\n".join(f".entry {core}, main" for core in range(8))
+    system = System.multicore()
+    system.load(assemble(entries + _SPIN))
+    system.run(20_000)
+    assert system.all_halted
+    assert system.activity().im_broadcast_fraction > 0.8
+
+
 def test_producer_consumer_through_sync_instructions():
     source = """
         .equ DATA, 0x900

@@ -28,6 +28,7 @@ def test_simple_program_assembles():
     """)
     assert _ops(image) == [Op.ADDI, Op.ADDI, Op.ADD, Op.HALT]
     assert image.entries == {0: image.symbols["main"]}
+    assert image.code_words == 4
 
 
 def test_labels_and_branches_resolve_relative_to_next_pc():

@@ -64,6 +64,7 @@ def test_window_min_parameter_validation():
         window_min_kernel(cores=0)
     with pytest.raises(ValueError):
         window_min_kernel(window=1)
+    assert "sinc" in window_min_kernel(3, 32, 64, True)
 
 
 def test_mac_kernel_functional_and_timed():
@@ -75,6 +76,7 @@ def test_mac_kernel_functional_and_timed():
 def test_mac_kernel_validation():
     with pytest.raises(ValueError):
         mac_kernel(taps=0)
+    assert "mul" in mac_kernel()
 
 
 def test_barrier_pipeline_multi_round_correctness():

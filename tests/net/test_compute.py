@@ -269,7 +269,31 @@ def test_exact_mode_never_serves_analytic_entries():
     for key, entry in clean_table.items():
         assert table[key].payload == entry.payload
         # The stale analytic memo entry was overwritten.
-        assert ComputeCache().get(key) == entry.payload
+        assert ComputeCache().get(key, "exact") == entry.payload
+
+
+def test_analytic_run_after_exact_run_equals_cold_analytic(tmp_path):
+    """An exact run's memo entries never leak into an analytic run."""
+    from repro.eval.netexp import NetReport, write_net_json
+
+    def analytic(name):
+        result = run_fleet(GEN, n_nodes=40, duration_s=2.0,
+                           compute="analytic")
+        path = write_net_json(
+            NetReport(scenario=GEN, result=result, seed=1), tmp_path / name)
+        return result, path.read_bytes()
+
+    clear_process_caches()
+    cold, cold_bytes = analytic("cold.json")
+    assert cold.compute.screened > 0
+    clear_process_caches()
+    run_fleet(GEN, n_nodes=40, duration_s=2.0, compute="exact")
+    after, after_bytes = analytic("after.json")
+    assert after.compute == cold.compute
+    assert [node.power.total_uw for node in after.nodes] == \
+        [node.power.total_uw for node in cold.nodes]
+    assert after.summary == cold.summary
+    assert after_bytes == cold_bytes
 
 
 def test_resolve_fingerprints_each_app_once(monkeypatch):
@@ -378,15 +402,15 @@ def test_cache_roundtrip_and_corrupt_entries(tmp_path):
     key = "ab" + "0" * 38
     cache.put(key, _entry_payload())
     clear_process_caches()  # force the disk read
-    assert ComputeCache(tmp_path).get(key) == _entry_payload()
+    assert ComputeCache(tmp_path).get(key, "exact") == _entry_payload()
     # Corrupt bytes and foreign schemas both read as misses.
-    path = cache._path(key)
+    path = cache.store.path(key)
     path.write_text("{not json", encoding="utf-8")
     clear_process_caches()
-    assert ComputeCache(tmp_path).get(key) is None
+    assert ComputeCache(tmp_path).get(key, "exact") is None
     path.write_text(json.dumps({"schema": "other/1"}), encoding="utf-8")
     clear_process_caches()
-    assert ComputeCache(tmp_path).get(key) is None
+    assert ComputeCache(tmp_path).get(key, "exact") is None
 
 
 def test_cache_root_from_environment(tmp_path, monkeypatch):

@@ -21,6 +21,8 @@ def test_serial_and_parallel_are_bit_identical():
     assert serial.mode == "serial"
     assert parallel.summary == serial.summary
     assert parallel.nodes == serial.nodes
+    assert serial.summary.n_nodes == 7
+    assert serial.nodes_per_second > 0
 
 
 def test_shard_count_not_dividing_node_count():

@@ -50,6 +50,7 @@ def test_population_scores_match_exact_oracle(app, kind):
     for index, candidate in enumerate(candidates):
         plan = plan_from_candidate(app, candidate)
         exact_cost, exact_metrics = oracle.evaluate(app, plan, 8)
+        assert exact_cost > 0
         assert float(scores.cost[index]) == \
             pytest.approx(exact_cost, rel=1e-9)
         analytic = scores.metrics(index)
@@ -82,6 +83,7 @@ def test_batched_equals_singleton_scoring():
     candidates = sample_candidates(app, samples=8, seed=5)
     model = AnalyticModel(app, kind="power", duration_s=1.0)
     batched = model.score(candidates)
+    assert len(batched) == len(candidates)
     for index, candidate in enumerate(candidates):
         assert model.score_one(candidate) == batched.cost[index]
 

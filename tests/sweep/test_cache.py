@@ -2,6 +2,8 @@
 
 import json
 
+from repro import store
+from repro.net.compute import ComputeCache, clear_process_caches
 from repro.sweep import ResultCache, code_fingerprint
 from repro.sweep.cache import CACHE_ENV, default_cache_dir
 
@@ -36,11 +38,23 @@ def test_fingerprint_change_invalidates(tmp_path):
     assert old.get("app", {"a": 1}) is None
 
 
+def test_prune_removes_stale_compute_cache_namespaces(tmp_path):
+    compute = ComputeCache(tmp_path)
+    payload = {"tier": "exact", "categories": {}}
+    compute.put("ab" + "0" * 38, payload)
+    store.Store(tmp_path, "old-code").put("cd" + "0" * 38, payload)
+    assert compute.store.prune() == 1
+    assert [child.name for child in tmp_path.iterdir()] == [
+        compute.store.fingerprint]
+    assert len(compute.store) == 1
+    clear_process_caches()
+
+
 def test_corrupt_entry_counts_as_miss(tmp_path):
     cache = ResultCache(root=tmp_path, fingerprint="f1")
     point = {"a": 1}
     entry = cache.put("app", point, {"m": 1.0}, wall_s=0.0)
-    path = cache._path(entry["key"])
+    path = cache.store.path(entry["key"])
     path.write_text("{not json", encoding="utf-8")
     assert cache.get("app", point) is None
     path.write_text(json.dumps({"schema": "other/9"}), encoding="utf-8")
@@ -58,6 +72,9 @@ def test_code_fingerprint_tracks_source_changes(tmp_path):
     assert first == code_fingerprint(tmp_path)
     (tmp_path / "mod.py").write_text("X = 2\n")
     assert code_fingerprint(tmp_path) != first
+    # Moved to the shared store; the sweep package re-exports it.
+    assert code_fingerprint is store.code_fingerprint
+    assert len(code_fingerprint()) == 16
 
 
 def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
