@@ -30,14 +30,14 @@ floor: the analytic tier must never be slower than exact (measured
 
 Run with::
 
-    python benchmarks/bench_fleet.py      # emit BENCH_fleet.json
-                                          # and BENCH_fleet-gen.json
+    python benchmarks/bench_fleet.py      # BENCH_fleet.json and
+                                          # BENCH_fleet-gen.json (the
+                                          # run_all.py flags apply)
     python benchmarks/bench_fleet.py --mega   # BENCH_fleet-mega.json
     python benchmarks/bench_fleet.py --fast   # BENCH_fleet-fast.json
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -47,6 +47,7 @@ from repro.net import appsource
 from repro.net.compute import COMPUTE_CACHE_ENV, clear_process_caches
 from repro.net.fleet import run_fleet
 from repro.net.streaming import run_streaming
+from repro.store import write_json
 from repro.sweep import BENCH_SCHEMA
 from repro.sweep.specs import BENCH_DURATION_S
 from repro.sysc.engine import cached_uniform_schedule
@@ -224,11 +225,7 @@ def fast_main(argv=None) -> int:
         help="where to write the artifact (default: cwd)")
     args = parser.parse_args(argv)
     payload = measure_fast()
-    path = Path(args.out_dir) / "BENCH_fleet-fast.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    path = write_json(Path(args.out_dir) / "BENCH_fleet-fast.json", payload)
     print(
         f"BENCH_fleet-fast: {payload['n_nodes']} nodes, exact "
         f"{payload['exact_wall_s']:.2f} s vs analytic "
@@ -249,11 +246,7 @@ def mega_main(argv=None) -> int:
         help="where to write the artifact (default: cwd)")
     args = parser.parse_args(argv)
     payload = measure_mega()
-    path = Path(args.out_dir) / "BENCH_fleet-mega.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    path = write_json(Path(args.out_dir) / "BENCH_fleet-mega.json", payload)
     print(
         f"BENCH_fleet-mega: {payload['n_nodes']:,} nodes at "
         f"{payload['nodes_per_s']:,.0f} nodes/s, peak rss "
@@ -265,7 +258,7 @@ def mega_main(argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    """Plain-script mode: emit the fleet BENCH artifacts."""
+    """Plain-script mode: ``run_all.py --only fleet fleet-gen``."""
     args = list(sys.argv[1:] if argv is None else argv)
     if "--fast" in args:
         args.remove("--fast")
@@ -273,9 +266,9 @@ def main(argv=None) -> int:
     if "--mega" in args:
         args.remove("--mega")
         return mega_main(args)
-    from repro.sweep import bench_main
+    import run_all
 
-    return bench_main("fleet", args) or bench_main("fleet-gen", args)
+    return run_all.main(["--only", "fleet", "fleet-gen", *args])
 
 
 if __name__ == "__main__":

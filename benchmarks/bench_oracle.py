@@ -22,7 +22,6 @@ Run with::
 """
 
 import argparse
-import json
 import time
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from repro.gen.explorer import repair_app
 from repro.oracle import AnalyticModel, sample_candidates
 from repro.search.cost import get_oracle
 from repro.search.space import plan_from_candidate
+from repro.store import write_json
 from repro.sweep import BENCH_SCHEMA
 
 #: Candidates per analytic call (one vectorised population).
@@ -118,11 +118,7 @@ def main(argv=None) -> int:
         help="where to write the artifact (default: cwd)")
     args = parser.parse_args(argv)
     payload = measure()
-    path = Path(args.out_dir) / "BENCH_oracle.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    path = write_json(Path(args.out_dir) / "BENCH_oracle.json", payload)
     print(
         f"BENCH_oracle: {payload['analytic_per_s']:,.0f} analytic "
         f"candidates/s vs {payload['exact_per_s']:,.1f} exact "

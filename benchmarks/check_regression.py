@@ -38,6 +38,8 @@ import json
 import os
 import sys
 
+from repro.store import write_json
+
 #: Default baseline location (next to this script).
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "baseline.json"
@@ -278,9 +280,7 @@ def main(argv=None) -> int:
         merged["benches"] = benches
     if args.update:
         baseline = update_baseline(merged, cover=cover)
-        with open(baseline_path, "w", encoding="utf-8") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(baseline_path, baseline)
         print(f"baseline refreshed: {baseline_path}")
         return 0
     with open(baseline_path, encoding="utf-8") as handle:

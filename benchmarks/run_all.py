@@ -1,4 +1,4 @@
-"""Shared benchmark entry point: run every bench on the BENCH schema.
+"""The benchmark entry point: every BENCH document is written here.
 
 Replays every campaign in :data:`repro.sweep.specs.BENCH_SPECS`,
 writes one ``BENCH_<name>.json`` per bench plus the merged
@@ -12,18 +12,25 @@ compute tier vs the exact fleet resolver).
 Run with::
 
     python benchmarks/run_all.py --out-dir bench-out --workers 2
+    python benchmarks/run_all.py --only search    # one bench
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.sweep import BENCH_SPECS, ResultCache, run_all_benches
+from repro.store import write_json
+from repro.sweep import BENCH_SPECS, ResultCache, bench_payload, run_sweep
 from repro.sweep.artifacts import merge_bench
 
 import bench_fleet
 import bench_oracle
+
+#: Benches that are not sweep campaigns: name -> payload producer.
+EXTRA_BENCHES = {
+    "oracle": bench_oracle.measure,
+    "fleet-fast": bench_fleet.measure_fast,
+}
 
 
 def main(argv=None) -> int:
@@ -58,7 +65,7 @@ def main(argv=None) -> int:
         nargs="*",
         default=None,
         metavar="NAME",
-        choices=sorted([*BENCH_SPECS, "oracle", "fleet-fast"]),
+        choices=sorted([*BENCH_SPECS, *EXTRA_BENCHES]),
         help="run only these benches (default: all)",
     )
     args = parser.parse_args(argv)
@@ -67,44 +74,30 @@ def main(argv=None) -> int:
         if args.cache_dir is not None and not args.no_cache
         else None
     )
-    extra_benches = ("oracle", "fleet-fast")
-    run_oracle = args.only is None or "oracle" in args.only
-    run_fast = args.only is None or "fleet-fast" in args.only
-    sweep_names = (
-        None
-        if args.only is None
-        else tuple(
-            name for name in args.only if name not in extra_benches
-        )
+    selected = (
+        [*BENCH_SPECS, *EXTRA_BENCHES] if args.only is None else args.only
     )
-    merged, path = run_all_benches(
-        out_dir=args.out_dir,
-        workers=args.workers,
-        names=sweep_names,
-        cache=cache,
-        use_cache=not args.no_cache,
-        force=args.force,
-    )
-    extra_payloads = {}
-    if run_oracle:
-        extra_payloads["oracle"] = bench_oracle.measure()
-    if run_fast:
-        extra_payloads["fleet-fast"] = bench_fleet.measure_fast()
-    if extra_payloads:
-        benches = dict(merged["benches"])
-        for name, payload in extra_payloads.items():
-            extra_path = Path(args.out_dir) / f"BENCH_{name}.json"
-            extra_path.parent.mkdir(parents=True, exist_ok=True)
-            extra_path.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
+    # Sweep campaigns first, in name order, then the hand-timed ones.
+    names = [name for name in sorted(BENCH_SPECS) if name in selected]
+    names += [name for name in EXTRA_BENCHES if name in selected]
+    out_dir = Path(args.out_dir)
+    payloads = {}
+    for name in names:
+        if name in EXTRA_BENCHES:
+            payload = EXTRA_BENCHES[name]()
+        else:
+            result = run_sweep(
+                BENCH_SPECS[name],
+                workers=args.workers,
+                cache=cache,
+                use_cache=not args.no_cache,
+                force=args.force,
             )
-            benches[name] = payload
-        merged = merge_bench(benches)
-        path.write_text(
-            json.dumps(merged, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+            payload = bench_payload(result)
+        write_json(out_dir / f"BENCH_{name}.json", payload)
+        payloads[name] = payload
+    merged = merge_bench(payloads)
+    path = write_json(out_dir / "BENCH_all.json", merged)
     for name, payload in merged["benches"].items():
         print(
             f"  {name:<10} {payload['points']:3d} point(s)  "

@@ -9,7 +9,7 @@ Usage::
     python -m repro.eval net [--scenario S] [--nodes N] [--workers W]
                              [--suite-seed S --suite-count N
                               --policy P --families F ...] [--json F]
-    python -m repro.eval net --tiers SPEC [--stream] [--wave N]
+    python -m repro.eval net --tiers SPEC [--wave N]
                              [--checkpoint-dir D] [--max-waves N]
     python -m repro.eval sweep [--spec NAME | --spec-file F] [--workers W]
     python -m repro.eval gen [--seed S] [--count N] [--policies P ...]
@@ -221,21 +221,17 @@ def _build_parser() -> argparse.ArgumentParser:
              "'tiers:<proto@<period>x<fan>[~<scale>]/...>:<base>' "
              "token")
     net.add_argument(
-        "--stream", action="store_true",
-        help="run the hierarchy through the streaming executor in "
-             f"bounded-memory waves (default: "
-             f"{DEFAULT_WAVE_SUBTREES} subtrees/wave)")
-    net.add_argument(
         "--wave", type=_positive_int, default=None, metavar="N",
-        help="tier-0 subtrees per wave (implies --stream)")
+        help="tier-0 subtrees the hierarchy streams per "
+             f"bounded-memory wave (default: {DEFAULT_WAVE_SUBTREES})")
     net.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="persist the partial merge after every wave; a rerun "
-             "with the same spec resumes from it (implies --stream)")
+             "with the same spec resumes from it")
     net.add_argument(
         "--max-waves", type=_positive_int, default=None, metavar="N",
         help="stop after N waves - the deterministic kill point the "
-             "resume checks use (implies --stream)")
+             "resume checks use")
     net.add_argument(
         "--json", default=None, metavar="PATH",
         help="write the deterministic repro-net/1|2 artifact here "
@@ -478,13 +474,12 @@ def _dispatch(
     if experiment in ("net", "all"):
         net_duration = NET_DURATION_S if duration is None else duration
         tiers = getattr(args, "tiers", None)
-        streaming = getattr(args, "stream", False) or any(
+        streaming = any(
             getattr(args, name, None) is not None
             for name in ("wave", "checkpoint_dir", "max_waves"))
         if tiers is None and streaming:
             parser.error(
-                "--stream/--wave/--checkpoint-dir/--max-waves need "
-                "--tiers")
+                "--wave/--checkpoint-dir/--max-waves need --tiers")
         if tiers is not None:
             flat = [flag for flag, value in (
                 ("--scenario", args.scenario),
@@ -498,8 +493,8 @@ def _dispatch(
             if flat:
                 parser.error(
                     f"--tiers conflicts with {', '.join(flat)}")
-            wave = args.wave if args.wave is not None else (
-                DEFAULT_WAVE_SUBTREES if streaming else None)
+            wave = (DEFAULT_WAVE_SUBTREES if args.wave is None
+                    else args.wave)
             result = run_streaming(
                 tiers, duration_s=net_duration, seed=args.seed,
                 workers=args.workers, wave_size=wave,
@@ -549,19 +544,21 @@ def main(argv: list[str] | None = None) -> int:
             return _dispatch(parser, args)
         with obs.collecting() as registry:
             status = _dispatch(parser, args)
+        print()
+        print(obs.render_metrics(registry))
+        if metrics:
+            obs.write_metrics_json(registry, metrics,
+                                   experiment=args.experiment)
     except (ValueError, OSError) as exc:
         # Usage errors — malformed tokens, unknown presets/policies,
-        # unreadable artifact paths — are the operator's problem, not
-        # a crash: one line on stderr and the argparse exit code.
+        # unreadable artifact paths — and failed artifact writes (a
+        # full disk) are not crashes: one line on stderr and the
+        # argparse exit code.  Artifacts are written atomically, so a
+        # failed write leaves the previous file as it was.
         message = str(exc).splitlines()[0] if str(exc) else \
             type(exc).__name__
         print(f"{parser.prog}: error: {message}", file=sys.stderr)
         return 2
-    print()
-    print(obs.render_metrics(registry))
-    if metrics:
-        obs.write_metrics_json(registry, metrics,
-                               experiment=args.experiment)
     return status
 
 

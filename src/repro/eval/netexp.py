@@ -23,7 +23,6 @@ so two runs of the same configuration produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from ..net.node import NodeResult
 from ..net.scenarios import generated_scenario
 from ..net.stats import SyncError, TierSummary, improvement_ratio
 from ..net.streaming import HierarchyResult
+from ..store import json_safe, write_json
 
 #: Default simulated seconds of the network experiment (the fleet
 #: runner's own default; re-exported under the experiment's name).
@@ -139,14 +139,6 @@ def run_net(scenario: str = "drifting-wearables",
                      seed=seed)
 
 
-def _json_safe(value: float) -> float | str:
-    """JSON has no inf/nan; encode them as strings."""
-    if isinstance(value, float) and (
-            value != value or value in (float("inf"), float("-inf"))):
-        return repr(value)
-    return value
-
-
 def _node_entry(node: NodeResult, heterogeneous: bool) -> dict:
     """The artifact record of one node."""
     entry = {
@@ -202,7 +194,7 @@ def net_payload(report: NetReport) -> dict:
         "steady_sync": asdict(summary.steady_sync),
         "unsync": asdict(summary.unsync),
         "steady_unsync": asdict(summary.steady_unsync),
-        "improvement": _json_safe(report.improvement),
+        "improvement": json_safe(report.improvement),
         "nodes": [_node_entry(node, heterogeneous)
                   for node in report.result.nodes],
     }
@@ -231,7 +223,7 @@ def hierarchy_improvement(result: HierarchyResult) -> float:
 def _tier_entry(tier: TierSummary) -> dict:
     """The artifact record of one tier (plus its improvement)."""
     entry = asdict(tier)
-    entry["improvement"] = _json_safe(improvement_ratio(
+    entry["improvement"] = json_safe(improvement_ratio(
         tier.steady_unsync.mean_abs_s, tier.steady_sync.mean_abs_s))
     return entry
 
@@ -266,7 +258,7 @@ def hierarchy_payload(result: HierarchyResult) -> dict:
         "steady_sync": asdict(summary.steady_sync),
         "unsync": asdict(summary.unsync),
         "steady_unsync": asdict(summary.steady_unsync),
-        "improvement": _json_safe(hierarchy_improvement(result)),
+        "improvement": json_safe(hierarchy_improvement(result)),
         "tiers": [_tier_entry(tier) for tier in result.tiers],
     }
     if result.compute is not None and result.compute.mode == "analytic":
@@ -277,25 +269,12 @@ def hierarchy_payload(result: HierarchyResult) -> dict:
 def write_hierarchy_json(result: HierarchyResult,
                          path: str | Path) -> Path:
     """Write the hierarchical-fleet artifact; returns its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(hierarchy_payload(result), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, hierarchy_payload(result))
 
 
 def write_net_json(report: NetReport, path: str | Path) -> Path:
     """Write the network-experiment artifact; returns its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(net_payload(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, net_payload(report))
 
 
 __all__ = [

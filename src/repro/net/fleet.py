@@ -31,6 +31,8 @@ from .compute import (
 )
 from .node import (
     REFERENCE_NODE_ID,
+    NetworkNode,
+    NodeReplay,
     NodeResult,
     build_node,
     sample_grid,
@@ -96,24 +98,27 @@ class FleetResult:
     compute: ComputeSummary | None = None
 
 
-def _simulate_shard(payload: tuple) -> list[NodeResult]:
-    """Simulate one batch of node ids (top-level: must pickle).
+def _simulate_shard(payload: tuple) -> list[NodeReplay]:
+    """Build and simulate one batch of node ids (top-level: must pickle).
 
-    ``resolved`` maps compute keys to pre-resolved entries (resolved
-    once in the main process).  A missing key is a hard error —
-    workers never fall back to silent re-simulation.
+    Each node is built once, here, and dropped once simulated: only
+    its replay, which holds no random streams, outlives the shard.
+    The reference node comes prebuilt (it also fed the schedule).
     """
-    config, node_ids, beacons, sample_times, ref_readings, resolved = payload
-    results = []
+    config, node_ids, reference, beacons, sample_times, ref_readings = (
+        payload
+    )
+    replays = []
     for node_id in node_ids:
-        node = build_node(
-            config.scenario, node_id, config.seed, config.duration_s
+        node = (
+            reference
+            if node_id == REFERENCE_NODE_ID
+            else build_node(
+                config.scenario, node_id, config.seed, config.duration_s
+            )
         )
-        compute = resolved[node.compute_request().key]
-        results.append(
-            node.simulate(beacons, sample_times, ref_readings, compute)
-        )
-    return results
+        replays.append(node.simulate(beacons, sample_times, ref_readings))
+    return replays
 
 
 class FleetRunner:
@@ -126,14 +131,13 @@ class FleetRunner:
             raise ValueError("duration must be positive")
         self.config = config
 
-    def _schedule(self) -> tuple[list[Beacon], list[float], list[float]]:
+    def _schedule(
+        self, reference: NetworkNode | None
+    ) -> tuple[list[Beacon], list[float], list[float]]:
         """Precompute beacons, error-sample times and ref readings."""
         config = self.config
-        if config.n_nodes == 0:
+        if reference is None:
             return [], [], []
-        reference = build_node(
-            config.scenario, REFERENCE_NODE_ID, config.seed, config.duration_s
-        )
         beacons = beacon_schedule(
             config.scenario.beacon_period_s, config.duration_s, reference.clock
         )
@@ -141,68 +145,57 @@ class FleetRunner:
         ref_readings = [reference.clock.read(t) for t in sample_times]
         return beacons, sample_times, ref_readings
 
-    def run(
-        self, workers: int = 1, shard_size: int | None = None
-    ) -> FleetResult:
+    def run(self, workers: int = 1) -> FleetResult:
         """Simulate the whole fleet.
 
         Args:
-            workers: worker processes; 1 executes inline.  More
-                workers than shards is allowed (the extras idle).
-            shard_size: nodes per batch; defaults to an even split
-                across workers.  The node count need not divide
-                evenly — the last shard is simply shorter.
+            workers: worker processes; 1 executes inline.  The nodes
+                split into even shards, one per worker; the node
+                count need not divide evenly (the last shard is
+                shorter), and workers beyond the node count idle.
         """
         if workers < 1:
             raise ValueError("need at least one worker")
         config = self.config
         node_ids = list(range(config.n_nodes))
-        if shard_size is None:
-            shard_size = even_shard_size(len(node_ids), workers)
-        shards = shard(node_ids, shard_size)
-        beacons, sample_times, ref_readings = self._schedule()
-        parallel = workers > 1 and len(shards) > 1
-        workers_used = min(workers, len(shards)) if parallel else 1
+        shards = shard(node_ids, even_shard_size(len(node_ids), workers))
+        workers_used = max(1, min(workers, len(shards)))
         obs.add("net.fleet.runs")
         obs.add("net.fleet.nodes", config.n_nodes)
         # The resolve step runs inside the timed window: reported
         # throughput always includes the compute work, whichever tier
         # performed it.
         span = obs.span("net.fleet.run").start()
-        with obs.span("net.compute.resolve"):
-            resolution = ComputeResolver(config.compute).resolve(
-                [
-                    build_node(
-                        config.scenario,
-                        node_id,
-                        config.seed,
-                        config.duration_s,
-                    ).compute_request()
-                    for node_id in node_ids
-                ]
+        reference = (
+            build_node(
+                config.scenario,
+                REFERENCE_NODE_ID,
+                config.seed,
+                config.duration_s,
             )
+            if node_ids
+            else None
+        )
+        beacons, sample_times, ref_readings = self._schedule(reference)
         payloads = [
-            (
-                config,
-                ids,
-                beacons,
-                sample_times,
-                ref_readings,
-                resolution.table,
-            )
+            (config, ids, reference, beacons, sample_times, ref_readings)
             for ids in shards
         ]
-        if parallel:
-            batches = pool_map(_simulate_shard, payloads, workers_used)
-        else:
-            batches = [_simulate_shard(payload) for payload in payloads]
+        replays = [
+            replay
+            for batch in pool_map(_simulate_shard, payloads, workers_used)
+            for replay in batch
+        ]
+        with obs.span("net.compute.resolve"):
+            resolution = ComputeResolver(config.compute).resolve(
+                [replay.request for replay in replays]
+            )
+        results = [
+            replay.result(resolution.table[replay.request.key])
+            for replay in replays
+        ]
         elapsed = span.stop()
         record_compute_counters(resolution.summary)
-
-        results = sorted(
-            (node for batch in batches for node in batch),
-            key=lambda node: node.node_id,
-        )
         return FleetResult(
             summary=self._aggregate(results, beacons),
             nodes=tuple(results),
@@ -210,7 +203,7 @@ class FleetRunner:
             nodes_per_second=(len(results) / elapsed if elapsed > 0 else 0.0),
             workers=workers_used,
             shards=len(shards),
-            mode="parallel" if parallel else "serial",
+            mode="parallel" if workers_used > 1 else "serial",
             compute=resolution.summary,
         )
 
@@ -291,7 +284,6 @@ def run_fleet(
     seed: int = DEFAULT_SEED,
     protocol: str | None = None,
     workers: int = 1,
-    shard_size: int | None = None,
     compute: str | ComputeSettings = "exact",
     compute_cache: str | None = None,
 ) -> FleetResult:
@@ -307,7 +299,6 @@ def run_fleet(
         protocol: override the scenario's sync protocol (e.g.
             ``"none"`` for the unsynchronized baseline).
         workers: worker processes (1 = serial).
-        shard_size: explicit batch size (defaults to an even split).
         compute: ``"exact"`` / ``"analytic"`` /
             :class:`~repro.net.compute.ComputeSettings`: how app
             compute is resolved (see :mod:`repro.net.compute`).
@@ -335,4 +326,4 @@ def run_fleet(
         seed=seed,
         compute=compute_settings(compute, compute_cache),
     )
-    return FleetRunner(config).run(workers=workers, shard_size=shard_size)
+    return FleetRunner(config).run(workers=workers)

@@ -44,6 +44,7 @@ __all__ = [
     "ERROR_SAMPLE_HZ",
     "REFERENCE_NODE_ID",
     "NetworkNode",
+    "NodeReplay",
     "NodeResult",
     "build_node",
     "sample_grid",
@@ -204,9 +205,8 @@ class NetworkNode:
         beacons: list[Beacon],
         sample_times: list[float],
         ref_readings: list[float],
-        compute: ResolvedCompute,
-    ) -> NodeResult:
-        """Run the node over one window.
+    ) -> NodeReplay:
+        """Run the node's radio and sync over one window.
 
         Args:
             beacons: the reference node's broadcast schedule.
@@ -215,12 +215,13 @@ class NetworkNode:
                 builds them).
             ref_readings: the reference clock's exact reading at each
                 sample time (``len(sample_times)`` values).
-            compute: the node's pre-resolved app-compute entry from
-                :class:`repro.net.compute.ComputeResolver`.  The
-                radio, clock and sync work below is always exact and
-                per-node.
+
+        Returns:
+            everything but the app compute, which a fleet resolves
+            for all its nodes at once
+            (:class:`repro.net.compute.ComputeResolver`);
+            :meth:`NodeReplay.result` adds the node's entry.
         """
-        power = compute.report()
         energy = RadioEnergy()
         errors: list[float] = []
         base_errors: list[float] = []
@@ -245,30 +246,60 @@ class NetworkNode:
         obs.add("net.node.simulations")
         if heard:
             obs.add("net.node.beacons_heard", heard)
-        power.categories["radio"] = radio_uw
-        return NodeResult(
-            node_id=self.node_id,
-            app_name=self.app_name,
-            protocol=(
-                "reference" if self.is_reference else self.scenario.protocol
+        return NodeReplay(
+            request=self.compute_request(),
+            fields=dict(
+                node_id=self.node_id,
+                app_name=self.app_name,
+                protocol=(
+                    "reference"
+                    if self.is_reference
+                    else self.scenario.protocol
+                ),
+                drift_ppm=self.clock.spec.drift_ppm,
+                bpm=self.bpm,
+                resets=self.clock.resets_before(self.duration_s),
+                beacons_heard=heard,
+                radio_uw=radio_uw,
+                sync=SyncError.from_samples(errors),
+                steady_sync=SyncError.from_samples(errors[steady:]),
+                unsync=SyncError.from_samples(base_errors),
+                steady_unsync=SyncError.from_samples(base_errors[steady:]),
+                token=self.binding.token,
+                family=self.binding.family,
+                policy=self.binding.policy,
+                floor_mhz=self.binding.floor_mhz,
+                repairs=self.binding.repairs,
             ),
-            drift_ppm=self.clock.spec.drift_ppm,
-            bpm=self.bpm,
-            resets=self.clock.resets_before(self.duration_s),
-            beacons_heard=heard,
-            radio_uw=radio_uw,
+        )
+
+
+@dataclass(frozen=True)
+class NodeReplay:
+    """One node's simulated window, short of its app compute.
+
+    It holds none of the node's random streams, so a fleet can keep
+    one per node while it resolves every node's compute in one batch.
+
+    Attributes:
+        request: the node's content-addressed compute work.
+        fields: every :class:`NodeResult` field but ``power`` and the
+            compute provenance.
+    """
+
+    request: ComputeRequest
+    fields: dict
+
+    def result(self, compute: ResolvedCompute) -> NodeResult:
+        """The node's result, with its pre-resolved compute entry
+        (the radio joins the app's power decomposition)."""
+        power = compute.report()
+        power.categories["radio"] = self.fields["radio_uw"]
+        return NodeResult(
             power=power,
-            sync=SyncError.from_samples(errors),
-            steady_sync=SyncError.from_samples(errors[steady:]),
-            unsync=SyncError.from_samples(base_errors),
-            steady_unsync=SyncError.from_samples(base_errors[steady:]),
-            token=self.binding.token,
-            family=self.binding.family,
-            policy=self.binding.policy,
-            floor_mhz=self.binding.floor_mhz,
-            repairs=self.binding.repairs,
             compute_key=compute.key,
             compute_tier=compute.tier,
+            **self.fields,
         )
 
 

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from .. import obs
 from ..parallel import pool_map
-from ..store import read_json, write_atomic
+from ..store import read_json, write_json
 from .compute import (
     ComputeResolver,
     ComputeSettings,
@@ -186,9 +186,9 @@ class StreamingConfig:
         spec: the hierarchy to simulate.
         duration_s: simulated seconds.
         seed: fleet seed feeding every node's named streams.
-        wave_size: tier-0 subtrees simulated per wave (``None`` runs
-            the whole fleet as one wave — still memory-bounded, but
-            checkpointed only at the end).
+        wave_size: tier-0 subtrees simulated (and held) per wave.
+            It bounds memory and sets the checkpoint interval; the
+            fold order, and so the result, is the same for any size.
         checkpoint_dir: directory of the content-addressed state
             file; ``None`` disables checkpointing.
         compute: app-compute resolution settings (default: the
@@ -200,14 +200,14 @@ class StreamingConfig:
     spec: HierarchySpec
     duration_s: float = DEFAULT_DURATION_S
     seed: int = DEFAULT_SEED
-    wave_size: int | None = None
+    wave_size: int = DEFAULT_WAVE_SUBTREES
     checkpoint_dir: str | Path | None = None
     compute: ComputeSettings = ComputeSettings()
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0.0:
             raise ValueError("duration must be positive")
-        if self.wave_size is not None and self.wave_size < 1:
+        if self.wave_size < 1:
             raise ValueError("wave size must be >= 1")
 
 
@@ -453,7 +453,7 @@ class StreamingRunner:
         }
         if obs_delta is not None:
             doc["obs"] = obs_delta
-        write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(path, doc)
 
     def run(
         self, workers: int = 1, max_waves: int | None = None
@@ -500,7 +500,7 @@ class StreamingRunner:
             )
 
         subtrees = spec.subtrees
-        wave_size = config.wave_size or max(subtrees, 1)
+        wave_size = config.wave_size
         waves = -(-subtrees // wave_size) if subtrees else 0
 
         state = [_TierState() for _ in spec.tiers]
@@ -674,7 +674,7 @@ def run_streaming(
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
-    wave_size: int | None = None,
+    wave_size: int = DEFAULT_WAVE_SUBTREES,
     checkpoint_dir: str | Path | None = None,
     max_waves: int | None = None,
     compute: str | ComputeSettings = "exact",

@@ -22,9 +22,9 @@ comparable form the CI determinism step ``cmp``\\ s.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from ..store import canonical_json, write_json
 from .registry import MetricsRegistry
 
 #: Schema tag of the metrics artifact (bump on incompatible changes).
@@ -54,7 +54,7 @@ def strip_timings(payload: dict) -> dict:
 
 def dumps_metrics(payload: dict) -> str:
     """Canonical serialisation (sorted keys, 2-space indent, LF)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return canonical_json(payload)
 
 
 def write_metrics_json(
@@ -63,10 +63,4 @@ def write_metrics_json(
     experiment: str = "",
 ) -> Path:
     """Write the metrics artifact; returns its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        dumps_metrics(metrics_payload(registry, experiment)),
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, metrics_payload(registry, experiment))

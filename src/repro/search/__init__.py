@@ -16,8 +16,8 @@ stochastic walks:
 Entry points elsewhere: the ``search-anneal`` / ``search-greedy``
 policy family in :data:`repro.gen.policies.POLICIES`, the ``search``
 run family in :mod:`repro.sweep.runners`, the ``python -m repro.eval
-search`` subcommand (``repro-search/1`` artifacts) and
-``benchmarks/bench_search.py``.
+search`` subcommand (``repro-search/1`` artifacts) and the
+``search`` bench of ``benchmarks/run_all.py``.
 """
 
 from .anneal import (

@@ -1,16 +1,22 @@
-"""One content-addressed JSON store for every on-disk cache.
+"""One content-addressed JSON store for every on-disk cache, and the
+one writer of every JSON artifact.
 
 The sweep result cache, the fleet compute cache and the streaming
 checkpoints share its key hash (:func:`digest`), its code
 fingerprint, its atomic writer and its reader, which turns a bad
 file into a miss.  A failed write (a full disk, say) removes its temp
 file and re-raises, so the previous file stays intact.
+
+Every artifact (BENCH, ``repro-net``, ``repro-search``, ``repro-gen``,
+``repro-cover``, ``repro-metrics``) and every checkpoint is written by
+:func:`write_json`, in the one byte format of :func:`canonical_json`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 from pathlib import Path
@@ -46,6 +52,26 @@ def write_atomic(path: Path, text: str) -> None:
     except OSError:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def json_safe(value: object) -> object:
+    """``value``, or its ``repr`` if it is a non-finite float (JSON has
+    no inf/nan, so ``"inf"``, ``"-inf"`` and ``"nan"`` stand in)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
+
+
+def canonical_json(payload: object) -> str:
+    """The artifact byte format: sorted keys, 2-space indent, final LF."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, payload: object) -> Path:
+    """Atomically write ``payload`` as canonical JSON; return the path."""
+    path = Path(path)
+    write_atomic(path, canonical_json(payload))
+    return path
 
 
 def read_json(path: Path) -> object | None:

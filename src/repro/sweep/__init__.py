@@ -20,7 +20,6 @@ from .artifacts import (
     write_bench_json,
     write_csv,
 )
-from .bench import bench_main, run_all_benches, run_bench
 from .cache import ResultCache, default_cache_dir
 from .engine import PointResult, SweepResult, run_sweep
 from .runners import HEADLINE_METRICS, RUNNERS, RunnerError, get_runner
@@ -47,11 +46,8 @@ __all__ = [
     "SpecError",
     "SweepResult",
     "SweepSpec",
-    "bench_main",
     "bench_payload",
     "canonical_point",
-    "run_all_benches",
-    "run_bench",
     "code_fingerprint",
     "default_cache_dir",
     "expand",

@@ -40,25 +40,16 @@ campaigns stay comparable without re-reading hundreds of points.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 from ..eval.aggregates import summary_stats
+from ..store import json_safe, write_json
 from .engine import SweepResult
 from .runners import HEADLINE_METRICS
 from .spec import Value
 
 #: Schema tag of BENCH documents (bump on incompatible changes).
 BENCH_SCHEMA = "repro-bench/1"
-
-
-def _sanitize(value: Value) -> Value:
-    """JSON has no inf/nan; encode them as strings."""
-    if isinstance(value, float) and (
-        value != value or value in (float("inf"), float("-inf"))
-    ):
-        return repr(value)
-    return value
 
 
 def percentile_axes(result: SweepResult) -> dict[str, dict]:
@@ -81,7 +72,7 @@ def percentile_axes(result: SweepResult) -> dict[str, dict]:
                 values.append(value)
         if values:
             axes[key] = {
-                stat: _sanitize(value)
+                stat: json_safe(value)
                 for stat, value in summary_stats(values).items()
             }
     return axes
@@ -111,7 +102,7 @@ def bench_payload(result: SweepResult, name: str | None = None) -> dict:
             {
                 "point": point.point,
                 "metrics": {
-                    key: _sanitize(value)
+                    key: json_safe(value)
                     for key, value in point.metrics.items()
                 },
                 "wall_s": point.wall_s,
@@ -129,14 +120,7 @@ def write_bench_json(
     name: str | None = None,
 ) -> Path:
     """Write one ``BENCH_<name>.json`` document; return its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(bench_payload(result, name), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, bench_payload(result, name))
 
 
 def sweep_rows(
@@ -162,7 +146,7 @@ def sweep_rows(
     for point in result.results:
         row: list[Value] = [point.point.get(col, "") for col in param_cols]
         row.extend(
-            _sanitize(point.metrics.get(col, "")) for col in metric_cols
+            json_safe(point.metrics.get(col, "")) for col in metric_cols
         )
         row.extend([point.wall_s, point.sim_s_per_s, point.cached])
         rows.append(row)

@@ -80,7 +80,6 @@ class ResultCache:
         wall_s: float,
     ) -> dict:
         """Store one result atomically and return the entry written."""
-        obs.add("sweep.cache.store")
         key = point_key(runner, point)
         entry = {
             "schema": ENTRY_SCHEMA,
@@ -93,6 +92,7 @@ class ResultCache:
             "created_unix": time.time(),
         }
         self.store.put(key, entry)
+        obs.add("sweep.cache.store")
         return entry
 
     def __len__(self) -> int:

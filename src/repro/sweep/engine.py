@@ -9,9 +9,10 @@ of points go to workers, results come back in arbitrary batch order,
 and the final merge restores point order — so serial and parallel
 sweeps produce identical result sequences (wall-clock fields aside).
 
-Every executed point is stored back into the cache, which makes
-re-runs and incremental sweeps (a grown axis, a few new points) cost
-only the new work.
+Every executed point is stored back into the cache as soon as it
+finishes, which makes re-runs, incremental sweeps (a grown axis, a
+few new points) and sweeps killed midway cost only the new work.  A
+point whose store fails (a full disk, say) still reaches the result.
 """
 
 from __future__ import annotations
@@ -125,13 +126,24 @@ def _execute_point(
     return metrics, span.elapsed_s
 
 
-def _run_shard(payload: tuple) -> list[tuple[int, dict, float]]:
-    """Execute one batch of points (top-level: must pickle)."""
-    runner_name, batch = payload
+def _run_shard(payload: tuple) -> list[tuple[int, dict, float, bool]]:
+    """Execute one batch of points, storing each (top-level: must pickle).
+
+    Each result carries whether its cache write succeeded: a failed
+    write loses the cache entry, never the result.
+    """
+    runner_name, batch, cache = payload
     results = []
     for index, point in batch:
         metrics, wall_s = _execute_point(runner_name, point)
-        results.append((index, metrics, wall_s))
+        stored = False
+        if cache is not None:
+            try:
+                cache.put(runner_name, point, metrics, wall_s)
+                stored = True
+            except OSError:
+                pass
+        results.append((index, metrics, wall_s, stored))
     return results
 
 
@@ -141,7 +153,6 @@ def run_sweep(
     cache: ResultCache | None = None,
     use_cache: bool = True,
     force: bool = False,
-    shard_size: int | None = None,
 ) -> SweepResult:
     """Execute a sweep campaign.
 
@@ -153,8 +164,6 @@ def run_sweep(
         use_cache: disable all cache reads *and* writes when false.
         force: ignore cached entries (results are still written back,
             refreshing the cache).
-        shard_size: points per worker batch; defaults to an even split
-            of the misses across workers.
 
     Raises:
         repro.sweep.runners.RunnerError: unknown run family.
@@ -189,28 +198,21 @@ def run_sweep(
                 cached=True,
             )
 
-    if shard_size is None:
-        shard_size = even_shard_size(len(misses), workers)
-    shards = shard(misses, shard_size)
-    payloads = [(spec.runner, batch) for batch in shards]
-
-    parallel = workers > 1 and len(shards) > 1
-    workers_used = min(workers, len(shards)) if parallel else 1
-    if parallel:
-        batches = pool_map(_run_shard, payloads, workers_used)
-    else:
-        batches = [_run_shard(payload) for payload in payloads]
-
+    # Resolved here, so that workers do not each hash the sources.
+    fingerprint = cache.fingerprint if cache is not None else ""
+    shards = shard(misses, even_shard_size(len(misses), workers))
+    workers_used = max(1, min(workers, len(shards)))
     stores = 0
-    for batch in batches:
-        for index, metrics, wall_s in batch:
-            point = points[index]
-            if cache is not None:
-                cache.put(spec.runner, point, metrics, wall_s)
-                stores += 1
+    for batch in pool_map(
+        _run_shard,
+        [(spec.runner, batch, cache) for batch in shards],
+        workers_used,
+    ):
+        for index, metrics, wall_s, stored in batch:
+            stores += stored
             slots[index] = PointResult(
                 index=index,
-                point=point,
+                point=points[index],
                 key=keys[index],
                 metrics=metrics,
                 wall_s=wall_s,
@@ -230,7 +232,7 @@ def run_sweep(
         cache_misses=len(misses),
         workers=workers_used,
         shards=len(shards),
-        mode="parallel" if parallel else "serial",
-        fingerprint=cache.fingerprint if cache is not None else "",
+        mode="parallel" if workers_used > 1 else "serial",
+        fingerprint=fingerprint,
         cache_stores=stores,
     )

@@ -316,7 +316,7 @@ def test_cli_net_tiers_conflicts_with_flat_flags():
     with pytest.raises(SystemExit):
         main(["net", "--tiers", "ward-campus", "--protocol", "ftsp"])
     with pytest.raises(SystemExit):
-        main(["net", "--stream"])  # streaming flags need --tiers
+        main(["net", "--wave", "4"])  # streaming flags need --tiers
 
 
 def test_cli_net_tiers_rejects_unknown_preset(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net import fleet
 from repro.net.fleet import FleetConfig, FleetRunner, run_fleet
 from repro.net.node import REFERENCE_NODE_ID
 from repro.net.scenarios import get_scenario
@@ -28,11 +29,25 @@ def test_serial_and_parallel_are_bit_identical():
 def test_shard_count_not_dividing_node_count():
     config = _config(7)
     baseline = FleetRunner(config).run(workers=1)
-    # 7 nodes in shards of 3 -> shards of 3, 3, 1.
-    uneven = FleetRunner(config).run(workers=2, shard_size=3)
-    assert uneven.shards == 3
+    # 7 nodes on 3 workers -> shards of 3, 3, 1.
+    uneven = FleetRunner(config).run(workers=3)
+    assert uneven.shards == 3 and uneven.workers == 3
     assert uneven.summary == baseline.summary
     assert uneven.nodes == baseline.nodes
+
+
+def test_every_node_is_built_once(monkeypatch):
+    built = []
+    build_node = fleet.build_node
+
+    def counted(scenario, node_id, *args):
+        built.append(node_id)
+        return build_node(scenario, node_id, *args)
+
+    monkeypatch.setattr(fleet, "build_node", counted)
+    result = FleetRunner(_config(5)).run(workers=1)
+    assert built == [0, 1, 2, 3, 4]
+    assert len(result.nodes) == 5
 
 
 def test_zero_node_fleet_is_empty_but_valid():
@@ -86,8 +101,6 @@ def test_runner_validates_arguments():
     runner = FleetRunner(_config(2))
     with pytest.raises(ValueError):
         runner.run(workers=0)
-    with pytest.raises(ValueError):
-        runner.run(workers=2, shard_size=0)
 
 
 def test_merged_sync_error_matches_global_statistics():

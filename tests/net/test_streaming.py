@@ -8,6 +8,7 @@ from repro.eval.netexp import hierarchy_payload
 from repro.net.hierarchy import HierarchySpec, parse_hierarchy
 from repro.net.scenarios import get_scenario
 from repro.net.streaming import (
+    DEFAULT_WAVE_SUBTREES,
     StreamingConfig,
     StreamingRunner,
     run_streaming,
@@ -27,7 +28,8 @@ def test_wave_size_does_not_change_the_result():
     whole = _run()
     wave1 = _run(wave_size=1)
     wave2 = _run(wave_size=2)
-    assert whole.wave_size == 3  # one wave covers every subtree
+    assert whole.wave_size == DEFAULT_WAVE_SUBTREES
+    assert whole.waves == 1  # one default wave covers every subtree
     assert wave1.waves == 3 and wave2.waves == 2
     assert wave1.summary == whole.summary == wave2.summary
     assert wave1.tiers == whole.tiers == wave2.tiers

@@ -7,12 +7,12 @@ from pathlib import Path
 
 from repro.sweep import (
     BENCH_SCHEMA,
+    BENCH_SPECS,
     ResultCache,
     SweepSpec,
     bench_payload,
     merge_bench,
     percentile_axes,
-    run_bench,
     run_sweep,
     sweep_rows,
     write_bench_json,
@@ -124,15 +124,20 @@ def test_merge_bench_sums_totals():
     assert set(merged["benches"]) == {"a", "b"}
 
 
-def test_run_bench_writes_named_artifact(tmp_path):
+def test_bench_campaign_writes_cold_then_warm_artifact(tmp_path):
     cache = ResultCache(root=tmp_path / "cache", fingerprint="f1")
-    payload, path = run_bench("table1", out_dir=tmp_path, cache=cache)
-    assert path == tmp_path / "BENCH_table1.json"
-    assert path.exists()
+    path = tmp_path / "BENCH_table1.json"
+    cold = run_sweep(BENCH_SPECS["table1"], cache=cache)
+    assert write_bench_json(cold, path) == path
+    payload = json.loads(path.read_text())
+    assert payload == json.loads(json.dumps(bench_payload(cold)))
+    assert payload["name"] == "table1"
     assert payload["points"] == 6
+    assert payload["cache"]["stores"] == 6
     # second emission is served from the cache
-    warm, _ = run_bench("table1", out_dir=tmp_path, cache=cache)
-    assert warm["cache"]["hits"] == 6
+    warm = run_sweep(BENCH_SPECS["table1"], cache=cache)
+    write_bench_json(warm, path)
+    assert json.loads(path.read_text())["cache"]["hits"] == 6
 
 
 def test_regression_gate_passes_and_fails():

@@ -1,20 +1,26 @@
 """Tests for the shared content-addressed store (``repro.store``).
 
 Every on-disk cache goes through one key hash, one atomic writer and
-one corrupt-is-a-miss reader.  The literal hashes below pin the keys
-of entries already on disk: a changed hash would orphan them.  The
+one corrupt-is-a-miss reader, and every artifact through one
+canonical JSON writer.  The literal hashes below pin the keys of
+entries already on disk: a changed hash would orphan them.  The
 full-disk cases make the writer fail with ``ENOSPC`` after its temp
 file exists, and check that each store keeps its previous file.
 """
 
 import errno
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.apps import three_lead_mmd
 from repro.apps.mapping import map_multicore
+from repro.eval.__main__ import main
 from repro.eval.netexp import write_hierarchy_json
 from repro.gen.generator import app_fingerprint, generate_app
 from repro.net.compute import (
@@ -27,13 +33,58 @@ from repro.net.compute import (
 )
 from repro.net.fleet import run_fleet
 from repro.net.streaming import run_streaming
-from repro.store import Store, digest
-from repro.sweep import ResultCache
+from repro.store import (
+    Store,
+    canonical_json,
+    digest,
+    json_safe,
+    write_json,
+)
+from repro.sweep import ResultCache, SweepSpec, run_sweep
 from repro.sweep.spec import point_key
 from repro.sysc.engine import Mode
 
 GEN = "gen:drifting-wearables:1:8:balanced"
 TIERS = "tiers:ftsp@5x3/rbs@1x4:dense-ward"
+GOLDEN = Path(__file__).resolve().parent / "net" / "golden"
+
+
+def _reference_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in GOLDEN.glob("*.json")))
+def test_write_json_reproduces_the_golden_artifacts(tmp_path, name):
+    golden = (GOLDEN / name).read_bytes()
+    payload = json.loads(golden)
+    path = write_json(tmp_path / "sub" / name, payload)
+    assert path == tmp_path / "sub" / name
+    assert path.read_bytes() == golden
+    assert canonical_json(payload) == _reference_text(payload)
+
+
+_LEAVES = st.none() | st.booleans() | st.integers() | st.text(max_size=8) \
+    | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20))
+def test_canonical_json_is_sorted_indented_and_lf_terminated(payload):
+    text = canonical_json(payload)
+    assert text == _reference_text(payload)
+    assert json.loads(text) == payload
+
+
+def test_json_safe_spells_out_non_finite_floats():
+    assert [json_safe(v) for v in (math.inf, -math.inf, math.nan)] == [
+        "inf", "-inf", "nan"]
+    for value in (1.5, 0, "inf", None, [math.inf]):
+        assert json_safe(value) is value
 
 
 def test_canonical_keys_are_unchanged():
@@ -92,6 +143,21 @@ def _fill_disk(monkeypatch):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(Path, "write_text", full)
+
+
+def _fail_write(monkeypatch, nth):
+    """Make only the ``nth`` file write stop half-way with ``ENOSPC``."""
+    write_text = Path.write_text
+    calls = []
+
+    def flaky(self, text, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == nth:
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", flaky)
 
 
 def test_full_disk_keeps_the_previous_sweep_entry(tmp_path, monkeypatch):
@@ -156,3 +222,47 @@ def test_full_disk_checkpoint_resumes_to_cold_bytes(tmp_path, monkeypatch):
     cold = run_streaming(TIERS, duration_s=2.0, seed=7, wave_size=1)
     assert write_hierarchy_json(resumed, tmp_path / "a.json").read_bytes() \
         == write_hierarchy_json(cold, tmp_path / "b.json").read_bytes()
+
+
+THREE = SweepSpec(
+    name="three",
+    runner="app",
+    axes=(("app", ("3L-MF", "3L-MMD", "RP-CLASS")),),
+    base=(("duration_s", 1.0), ("mode", "multi-core")),
+)
+
+
+def test_failed_cache_write_keeps_the_sweep_result(tmp_path, monkeypatch):
+    with monkeypatch.context() as patch, obs.collecting() as registry:
+        _fail_write(patch, 2)
+        result = run_sweep(THREE, cache=ResultCache(tmp_path, "f1"))
+    assert registry.snapshot()["counters"]["sweep.cache.store"] == 2
+    assert [point.metrics["power_uw"] > 0 for point in result.results] \
+        == [True, True, True]
+    assert result.cache_misses == 3 and result.cache_stores == 2
+    assert not list(tmp_path.rglob("*.tmp"))
+    rerun = run_sweep(THREE, cache=ResultCache(tmp_path, "f1"))
+    assert rerun.cache_misses == 1 and rerun.cache_hits == 2
+    assert [point.metrics for point in rerun.results] == [
+        point.metrics for point in result.results]
+
+
+def test_full_disk_keeps_the_previous_cli_artifact(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(COMPUTE_CACHE_ENV, raising=False)
+    out = tmp_path / "net.json"
+    argv = ["net", "--scenario", "dense-ward", "--nodes", "3",
+            "--duration", "1", "--json", str(out)]
+    assert main(argv) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+
+    with monkeypatch.context() as patch:
+        _fill_disk(patch)
+        assert main(argv + ["--seed", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("python -m repro.eval: error: ")
+    assert "No space left on device" in err
+    assert err.count("\n") == 1  # one line, no traceback
+    assert out.read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["net.json"]
